@@ -16,12 +16,12 @@ import pytest
 from repro.comm import CommContext, SchemeKind
 from repro.core import SLA_TESTBED_CHATBOT, OfflinePlanner, PlannerConfig
 from repro.core.netestimate import estimate_network_latency
-from repro.llm import OPT_66B, BatchSpec
+from repro.llm import A100, OPT_66B, V100, BatchSpec, CostModelBank
 from repro.network import build_testbed
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
 
-from common import save_result, make_testbed_bank
+from common import save_result
 
 
 def run_perturbation_ablation():
@@ -77,7 +77,7 @@ def test_ablation_perturbation(benchmark):
 
 def run_maxcandi_sweep():
     built = build_testbed()
-    bank = make_testbed_bank(OPT_66B)
+    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
     ctx = CommContext.from_built(built, heterogeneous=True)
     batch = BatchSpec.uniform(8, 256, 220)
     out = []

@@ -24,10 +24,15 @@ from repro.comm import (
 )
 from repro.core import SLA_TESTBED_CHATBOT
 from repro.core.controller import CentralController
-from repro.llm import OPT_66B
+from repro.llm import A100, OPT_66B, V100, CostModelBank
 from repro.obs import NULL_OBSERVER
 from repro.network import build_testbed
-from repro.serving import BackgroundTrafficConfig, ServingSimulator
+from repro.scenario import make_observer
+from repro.serving import (
+    BackgroundTrafficConfig,
+    EngineConfig,
+    ServingSimulator,
+)
 from repro.serving.background import BackgroundTraffic
 from repro.util.rng import make_rng
 from repro.util.tables import format_table
@@ -37,8 +42,7 @@ from common import (
     TESTBED_PARALLEL,
     bench_seed,
     dump_observation,
-    make_testbed_bank,
-    maybe_observed_config,
+    maybe_scenario_observer,
     save_json,
     save_result,
 )
@@ -46,7 +50,7 @@ from common import (
 
 def run_online_ablation():
     built = build_testbed()
-    bank = make_testbed_bank(OPT_66B)
+    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
     rate = 2.0
     trace = generate_sharegpt_trace(
         rate, 90, make_rng(bench_seed(21)), bursty=True
@@ -60,7 +64,8 @@ def run_online_ablation():
     out = {}
     for online in (True, False):
         ctx = system.fresh_context()
-        cfg, obs = maybe_observed_config()
+        obs = make_observer(maybe_scenario_observer())
+        cfg = EngineConfig(observer=obs) if obs is not None else None
         controller = (
             CentralController(
                 ctx=ctx,

@@ -21,19 +21,18 @@ import pytest
 
 from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
 from repro.baselines import HEROSERVE, build_system, simulate_trace
-from repro.llm import OPT_66B, OPT_175B
+from repro.llm import A100, OPT_66B, OPT_175B, V100, CostModelBank
 from repro.network import build_testbed, build_xtracks_cluster
 from repro.obs import SelfProfiler, SelfProfilingObserver
 from repro.serving import EngineConfig
+from repro.util.rng import make_rng
+from repro.workloads import generate_sharegpt_trace
 
 from common import (
     BENCH_SEED,
     CLUSTER_PARALLEL,
     TESTBED_PARALLEL,
-    chatbot_trace,
     check_stable_hashing,
-    make_cluster_bank,
-    make_testbed_bank,
     save_json,
     save_result,
 )
@@ -48,7 +47,7 @@ SETTINGS = {
     "testbed OPT-66B": dict(
         builder=lambda: build_testbed(),
         model=OPT_66B,
-        bank=make_testbed_bank,
+        gpus={"A100": A100, "V100": V100},
         sla=SLA_TESTBED_CHATBOT,
         parallel=TESTBED_PARALLEL,
         rate=1.0,
@@ -56,7 +55,7 @@ SETTINGS = {
     "2tracks OPT-175B": dict(
         builder=lambda: build_xtracks_cluster(2, n_units=1),
         model=OPT_175B,
-        bank=make_cluster_bank,
+        gpus={"A100": A100},
         sla=SLA_SIM_CHATBOT,
         parallel=CLUSTER_PARALLEL,
         rate=1.2,
@@ -67,12 +66,14 @@ SETTINGS = {
 def profile_setting(spec: dict) -> dict:
     """One profiled HeroServe run; returns the SelfProfiler snapshot."""
     built = spec["builder"]()
-    trace = chatbot_trace(spec["rate"], DURATION, seed=BENCH_SEED)
+    trace = generate_sharegpt_trace(
+        spec["rate"], DURATION, make_rng(BENCH_SEED)
+    )
     system = build_system(
         HEROSERVE,
         built,
         spec["model"],
-        spec["bank"](spec["model"]),
+        CostModelBank(spec["model"], spec["gpus"]),
         spec["sla"],
         trace.representative_batch(8),
         arrival_rate=spec["rate"],

@@ -10,23 +10,21 @@ We regenerate the per-system mean/peak utilisation of the decode
 cluster's KV pool over the run.
 """
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.baselines import simulate_trace
-from repro.core import SLA_SIM_SUMMARIZATION
-from repro.llm import OPT_175B
-from repro.network import build_xtracks_cluster
+from repro.scenario import ScenarioSpec, build_runtime, make_observer, simulate
 
 from common import (
     CLUSTER_PARALLEL,
     SYSTEM_ORDER,
+    assert_matches_baseline,
     bench_seed,
-    build_all_systems,
     dump_observation,
-    make_cluster_bank,
-    maybe_observed_config,
+    maybe_scenario_observer,
+    plan_all_systems,
     save_result,
-    summarization_trace,
 )
 from repro.util.tables import format_table
 
@@ -35,25 +33,31 @@ DURATION = 600.0
 
 
 def run_tracks(tracks: int) -> dict[str, dict[str, float]]:
-    built = build_xtracks_cluster(tracks, n_units=1)
-    bank = make_cluster_bank(OPT_175B)
-    trace = summarization_trace(RATE, DURATION, seed=bench_seed(10))
-    systems = build_all_systems(
-        built,
-        OPT_175B,
-        bank,
-        SLA_SIM_SUMMARIZATION,
-        trace,
-        arrival_rate=RATE,
-        forced=CLUSTER_PARALLEL,
-        forecast_q=4,
+    spec = ScenarioSpec.from_dict(
+        {
+            "name": f"fig10-{tracks}tracks",
+            "model": "OPT-175B",
+            "topology": {"kind": "xtracks", "tracks": tracks, "n_units": 1},
+            "slo": "sim-summarization",
+            "parallel": astuple(CLUSTER_PARALLEL),
+            "forecast_q": 4,
+            "workload": {
+                "generator": "longbench",
+                "rate": RATE,
+                "duration": DURATION,
+                "seed": bench_seed(10),
+            },
+            "observer": maybe_scenario_observer(),
+        }
     )
+    rt = build_runtime(spec)
+    systems = plan_all_systems(rt)
     out: dict[str, dict[str, float]] = {}
     for name in SYSTEM_ORDER:
-        cfg, obs = maybe_observed_config()
-        m = simulate_trace(systems[name], trace, engine_config=cfg)
+        observer = make_observer(spec.observer)
+        m = simulate(spec, systems[name], rt.trace, observer)
         dump_observation(
-            f"fig10_{tracks}tracks-{name.lower()}", obs, m
+            f"fig10_{tracks}tracks-{name.lower()}", observer, m
         )
         out[name] = {
             "mean_util": m.mean_memory_utilization(),
@@ -90,6 +94,7 @@ def test_fig10_memory_efficiency(benchmark, tracks):
         ),
     )
     print("\n" + table)
+    assert_matches_baseline(f"fig10_{tracks}tracks", table)
     save_result(f"fig10_{tracks}tracks", table)
 
     hero = res["HeroServe"]["mean_util"]

@@ -14,23 +14,21 @@ sweep reports SLA attainment per offered rate, the max passing rate and
 HeroServe's improvement factors.
 """
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.core import SLA_TESTBED_CHATBOT, SLA_TESTBED_SUMMARIZATION
-from repro.llm import OPT_66B
-from repro.network import build_testbed
+from repro.scenario import ScenarioSpec, build_runtime
 
 from common import (
     TESTBED_PARALLEL,
+    assert_matches_baseline,
     bench_seed,
-    build_all_systems,
-    chatbot_trace,
+    maybe_scenario_observer,
     save_result,
     scalability_summary,
-    summarization_trace,
     sweep_systems,
     sweep_table,
-    make_testbed_bank,
 )
 
 CHATBOT_RATES = [1.5, 2.0, 2.5, 2.75, 3.0, 3.25, 3.5, 3.75]
@@ -39,34 +37,32 @@ DURATION = 80.0
 
 
 def run_workload(workload: str):
-    built = build_testbed()
-    bank = make_testbed_bank(OPT_66B)
+    """Plan every system at the mid rate, then sweep all rates."""
     if workload == "chatbot":
-        sla, rates, make_trace = (
-            SLA_TESTBED_CHATBOT,
-            CHATBOT_RATES,
-            lambda r: chatbot_trace(r, DURATION, seed=bench_seed(3)),
-        )
+        generator, rates, duration = "sharegpt", CHATBOT_RATES, DURATION
     else:
-        sla, rates, make_trace = (
-            SLA_TESTBED_SUMMARIZATION,
-            SUMMARIZATION_RATES,
-            lambda r: summarization_trace(r, 4 * DURATION, seed=bench_seed(3)),
+        generator, rates, duration = (
+            "longbench", SUMMARIZATION_RATES, 4 * DURATION
         )
-    systems = build_all_systems(
-        built,
-        OPT_66B,
-        bank,
-        sla,
-        make_trace(rates[len(rates) // 2]),
-        arrival_rate=rates[len(rates) // 2],
-        forced=TESTBED_PARALLEL,
+    spec = ScenarioSpec.from_dict(
+        {
+            "name": f"fig7-{workload}",
+            "model": "OPT-66B",
+            "slo": f"testbed-{workload}",
+            "parallel": astuple(TESTBED_PARALLEL),
+            "workload": {
+                "generator": generator,
+                "rate": rates[len(rates) // 2],
+                "duration": duration,
+                "seed": bench_seed(3),
+            },
+            "observer": maybe_scenario_observer(),
+        }
     )
     points = sweep_systems(
-        systems, rates, make_trace, obs_prefix=f"fig7_{workload}"
+        build_runtime(spec), rates, obs_prefix=f"fig7_{workload}"
     )
-    n_gpus = TESTBED_PARALLEL.total_gpus
-    return points, n_gpus
+    return points, TESTBED_PARALLEL.total_gpus
 
 
 def tpot_reduction(points, rate, other):
@@ -106,6 +102,7 @@ def test_fig7a_b_chatbot(benchmark):
         + ", ".join(f"{k}: {v:.1%}" for k, v in reductions.items())
     )
     print("\n" + text)
+    assert_matches_baseline("fig7ab_chatbot", text)
     save_result("fig7ab_chatbot", text)
 
     # Shape: HeroServe sustains the highest rate, DistServe the lowest.
@@ -151,6 +148,7 @@ def test_fig7c_d_summarization(benchmark):
         f"(paper: 15.2-45.2%): {ttft_red:.1%}"
     )
     print("\n" + text)
+    assert_matches_baseline("fig7cd_summarization", text)
     save_result("fig7cd_summarization", text)
 
     assert maxima["HeroServe"] >= maxima["DistServe"]

@@ -12,18 +12,17 @@ deployment, sweeping offered rate under the simulation SLAs (4 s TTFT /
 0.2 s TPOT chatbot).
 """
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.core import SLA_SIM_CHATBOT
-from repro.llm import OPT_175B
-from repro.network import build_xtracks_cluster
+from repro.scenario import ScenarioSpec, build_runtime
 
 from common import (
     CLUSTER_PARALLEL,
+    assert_matches_baseline,
     bench_seed,
-    build_all_systems,
-    chatbot_trace,
-    make_cluster_bank,
+    maybe_scenario_observer,
     save_result,
     scalability_summary,
     sweep_systems,
@@ -35,25 +34,26 @@ DURATION = 90.0
 
 
 def run_tracks(tracks: int):
-    built = build_xtracks_cluster(tracks, n_units=1)
-    bank = make_cluster_bank(OPT_175B)
-    mid = RATES[len(RATES) // 2]
-    systems = build_all_systems(
-        built,
-        OPT_175B,
-        bank,
-        SLA_SIM_CHATBOT,
-        chatbot_trace(mid, DURATION, seed=bench_seed(8)),
-        arrival_rate=mid,
-        forced=CLUSTER_PARALLEL,
+    """Plan every system at the mid rate, then sweep all rates."""
+    spec = ScenarioSpec.from_dict(
+        {
+            "name": f"fig8-{tracks}tracks",
+            "model": "OPT-175B",
+            "topology": {"kind": "xtracks", "tracks": tracks, "n_units": 1},
+            "slo": "sim-chatbot",
+            "parallel": astuple(CLUSTER_PARALLEL),
+            "workload": {
+                "generator": "sharegpt",
+                "rate": RATES[len(RATES) // 2],
+                "duration": DURATION,
+                "seed": bench_seed(8),
+            },
+            "observer": maybe_scenario_observer(),
+        }
     )
-    points = sweep_systems(
-        systems,
-        RATES,
-        lambda r: chatbot_trace(r, DURATION, seed=bench_seed(8)),
-        obs_prefix=f"fig8_{tracks}tracks",
+    return sweep_systems(
+        build_runtime(spec), RATES, obs_prefix=f"fig8_{tracks}tracks"
     )
-    return points
 
 
 @pytest.mark.benchmark(group="fig8")
@@ -95,6 +95,7 @@ def test_fig8_scalability(benchmark, tracks):
         + ", ".join(f"{k}: {v:.1%}" for k, v in reductions.items())
     )
     print("\n" + text)
+    assert_matches_baseline(f"fig8_{tracks}tracks", text)
     save_result(f"fig8_{tracks}tracks", text)
 
     assert maxima["HeroServe"] > 0

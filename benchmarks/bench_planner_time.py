@@ -31,15 +31,13 @@ from repro.core.planner import (
     OfflinePlanner,
     PlannerConfig,
 )
-from repro.llm import OPT_66B, OPT_175B, BatchSpec
+from repro.llm import A100, OPT_66B, OPT_175B, V100, BatchSpec, CostModelBank
 from repro.network import build_testbed, build_xtracks_cluster
 from repro.obs import Observer
 
 from common import (
     BENCH_SEED,
     check_stable_hashing,
-    make_cluster_bank,
-    make_testbed_bank,
     phase_breakdown_rows,
     save_json,
     save_result,
@@ -79,7 +77,7 @@ def run_planner_comparison():
             *plan_three_way(
                 tb,
                 OPT_66B,
-                make_testbed_bank(OPT_66B),
+                CostModelBank(OPT_66B, {"A100": A100, "V100": V100}),
                 BatchSpec.uniform(8, 256, 220),
             ),
         )
@@ -91,7 +89,7 @@ def run_planner_comparison():
             *plan_three_way(
                 cl,
                 OPT_175B,
-                make_cluster_bank(OPT_175B),
+                CostModelBank(OPT_175B, {"A100": A100}),
                 BatchSpec.uniform(8, 256, 220),
             ),
         )

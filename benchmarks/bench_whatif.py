@@ -17,78 +17,41 @@ import json
 
 import pytest
 
-from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
-from repro.baselines import HEROSERVE, build_system
-from repro.llm import OPT_66B, OPT_175B
-from repro.network import build_testbed, build_xtracks_cluster
-from repro.obs import WhatIfProfiler, render_ladder
+from repro.obs import (
+    WHATIF_SETTINGS,
+    WhatIfProfiler,
+    render_ladder,
+    whatif_spec,
+)
+from repro.scenario import ScenarioSpec, build_runtime, plan_system
 
 import common
 from common import (
     BENCH_SEED,
-    CLUSTER_PARALLEL,
-    TESTBED_PARALLEL,
-    chatbot_trace,
+    assert_matches_baseline,
     check_stable_hashing,
-    make_cluster_bank,
-    make_testbed_bank,
     obs_path,
     save_json,
     save_result,
 )
 
-#: Pinned loaded-but-unsaturated operating points (matching the
-#: ``python -m repro whatif`` defaults): saturated regimes amplify
-#: second-order congestion coupling the first-order analytic model does
-#: not capture (see docs/OBSERVABILITY.md, "What-if profiling").
-SETTINGS = {
-    "testbed": dict(
-        builder=lambda: build_testbed(),
-        model=OPT_66B,
-        bank=make_testbed_bank,
-        sla=SLA_TESTBED_CHATBOT,
-        parallel=TESTBED_PARALLEL,
-        rate=1.0,
-        duration=40.0,
-    ),
-    "2tracks": dict(
-        builder=lambda: build_xtracks_cluster(2, n_units=1),
-        model=OPT_175B,
-        bank=make_cluster_bank,
-        sla=SLA_SIM_CHATBOT,
-        parallel=CLUSTER_PARALLEL,
-        rate=0.6,
-        duration=60.0,
-    ),
-}
-
 TOP_K = 3
 
 
-def profile_setting(label: str, spec: dict):
-    """One validated what-if ladder; returns (result, payload)."""
-    built = spec["builder"]()
-    trace = chatbot_trace(
-        spec["rate"], spec["duration"], seed=BENCH_SEED
-    )
-    system = build_system(
-        HEROSERVE,
-        built,
-        spec["model"],
-        spec["bank"](spec["model"]),
-        spec["sla"],
-        trace.representative_batch(8),
-        arrival_rate=spec["rate"],
-        forced_parallel=spec["parallel"],
-    )
-    profiler = WhatIfProfiler(system, trace)
-    result = profiler.ladder(validate=True)
+def profile_setting(label: str):
+    """One validated what-if ladder at a pinned operating point
+    (``WHATIF_SETTINGS``, shared with ``python -m repro whatif``);
+    returns (result, payload)."""
+    spec = ScenarioSpec.from_dict(whatif_spec(label, seed=BENCH_SEED))
+    rt = build_runtime(spec)
+    system = plan_system(rt)
+    result = WhatIfProfiler(system, rt.trace).ladder(validate=True)
     payload = result.to_payload(
         meta={
             "topology": label,
             "system": system.spec.name,
-            "rate": spec["rate"],
-            "duration": spec["duration"],
+            "rate": spec.workload.rate,
+            "duration": spec.workload.duration,
             "seed": BENCH_SEED,
         }
     )
@@ -134,10 +97,7 @@ def baseline_payload(results: dict) -> dict:
 def test_whatif_ladder(benchmark):
     check_stable_hashing()
     results = benchmark.pedantic(
-        lambda: {
-            label: profile_setting(label, spec)
-            for label, spec in SETTINGS.items()
-        },
+        lambda: {label: profile_setting(label) for label in WHATIF_SETTINGS},
         rounds=1,
         iterations=1,
     )
@@ -146,6 +106,7 @@ def test_whatif_ladder(benchmark):
         for label, (result, _) in results.items()
     )
     print("\n" + ladders)
+    assert_matches_baseline("whatif_ladder", ladders)
     save_result("whatif_ladder", ladders)
     save_json("BENCH_whatif", baseline_payload(results))
 

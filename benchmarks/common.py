@@ -21,29 +21,19 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.baselines import (
-    ALL_SYSTEMS,
-    ServingSystem,
-    SystemSpec,
-    build_system,
-    simulate_trace,
-)
-from repro.core.objective import SlaSpec
+from repro.baselines import ServingSystem
 from repro.core.plan import ParallelConfig
-from repro.llm import A100, V100, CostModelBank, ModelConfig
-from repro.network.builders import BuiltTopology
-from repro.obs import AttributionCollector, FlightRecorder, Observer
-from repro.serving import EngineConfig
-from repro.serving.metrics import SLA_ATTAINMENT_TARGET, ServingMetrics
-from repro.util.rng import make_rng
-from repro.util.tables import format_table
-from repro.workloads import (
-    Trace,
-    generate_longbench_trace,
-    generate_sharegpt_trace,
+from repro.scenario import (
+    ScenarioRuntime,
+    build_trace,
+    make_observer,
+    plan_system,
+    simulate,
 )
+from repro.serving.metrics import SLA_ATTAINMENT_TARGET
+from repro.util.tables import format_table
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -106,30 +96,12 @@ def obs_path(filename: str) -> str:
     return os.path.join(OBS_DIR, filename)
 
 
-def maybe_observed_config(
-    **kwargs,
-) -> tuple[EngineConfig | None, Observer | None]:
-    """Observer-equipped engine config when ``--obs-dir`` is active.
-
-    Returns ``(None, None)`` otherwise, so call sites can pass the
-    config straight to ``simulate_trace`` with zero overhead when dumps
-    are off.
-    """
-    if OBS_DIR is None:
-        return None, None
-    observer = Observer(
-        recorder=FlightRecorder(), attribution=AttributionCollector()
-    )
-    return EngineConfig(observer=observer, **kwargs), observer
-
-
 def maybe_scenario_observer() -> dict | None:
     """Spec-level ``observer`` block when ``--obs-dir`` is active.
 
-    The scenario-spec twin of :func:`maybe_observed_config`: benches
-    that build runs through :mod:`repro.scenario` put this in their
-    spec and the runner attaches the same flight recorder + attribution
-    collector pair; ``None`` keeps the run observer-free.
+    Benches put this in their spec and the runner attaches a flight
+    recorder + attribution collector pair to each run; ``None`` keeps
+    the run observer-free.
     """
     if OBS_DIR is None:
         return None
@@ -235,14 +207,6 @@ def save_json(name: str, payload) -> str:
     return path
 
 
-def observed_engine_config(**kwargs) -> tuple[EngineConfig, Observer]:
-    """EngineConfig with a live observer attached, for benches that want
-    a trace/metrics dump alongside the table (``**kwargs`` forwarded to
-    :class:`EngineConfig`)."""
-    observer = Observer()
-    return EngineConfig(observer=observer, **kwargs), observer
-
-
 def phase_breakdown_rows(
     phase_times: dict[str, float]
 ) -> list[list[str]]:
@@ -256,48 +220,12 @@ def phase_breakdown_rows(
     ]
 
 
-def make_testbed_bank(model: ModelConfig) -> CostModelBank:
-    return CostModelBank(model, {"A100": A100, "V100": V100})
-
-
-def make_cluster_bank(model: ModelConfig) -> CostModelBank:
-    return CostModelBank(model, {"A100": A100})
-
-
-def chatbot_trace(rate: float, duration: float, seed: int = 0) -> Trace:
-    return generate_sharegpt_trace(rate, duration, make_rng(seed))
-
-
-def summarization_trace(
-    rate: float, duration: float, seed: int = 0
-) -> Trace:
-    return generate_longbench_trace(rate, duration, make_rng(seed))
-
-
-def build_all_systems(
-    built: BuiltTopology,
-    model: ModelConfig,
-    bank: CostModelBank,
-    sla: SlaSpec,
-    forecast_trace: Trace,
-    arrival_rate: float,
-    forced: ParallelConfig | None,
-    forecast_q: int = 8,
-) -> dict[str, ServingSystem]:
-    """One planned deployment per system spec."""
-    forecast = forecast_trace.representative_batch(forecast_q)
+def plan_all_systems(rt: ScenarioRuntime) -> dict[str, ServingSystem]:
+    """Plan every §V system once on ``rt``'s topology, cost bank and
+    forecast trace (the spec's ``system`` field is swept)."""
     return {
-        spec.name: build_system(
-            spec,
-            built,
-            model,
-            bank,
-            sla,
-            forecast,
-            arrival_rate=arrival_rate,
-            forced_parallel=forced,
-        )
-        for spec in ALL_SYSTEMS
+        name: plan_system(replace(rt, spec=replace(rt.spec, system=name)))
+        for name in SYSTEM_ORDER
     }
 
 
@@ -314,34 +242,25 @@ class SweepPoint:
 
 
 def sweep_systems(
-    systems: dict[str, ServingSystem],
-    rates: list[float],
-    make_trace,
-    engine_config: EngineConfig | None = None,
-    obs_prefix: str | None = None,
+    rt: ScenarioRuntime, rates: list[float], obs_prefix: str
 ) -> list[SweepPoint]:
-    """Replay a fresh trace per rate through every system.
+    """Plan every system once, then replay a fresh trace per rate.
 
-    When ``--obs-dir`` is active and no explicit ``engine_config`` is
-    given, each run gets its own observer + flight recorder and the
-    telemetry set is dumped as ``<obs_prefix>-<system>-r<rate>-*``.
+    Each rate's trace is the spec's workload at that rate. With the
+    spec's ``observer`` block set (``--obs-dir``), each run's telemetry
+    set is dumped as ``<obs_prefix>-<system>-r<rate>-*``.
     """
+    systems = plan_all_systems(rt)
+    spec = rt.spec
     points: list[SweepPoint] = []
     for rate in rates:
-        trace = make_trace(rate)
+        trace = build_trace(replace(spec.workload, rate=rate))
         for name in SYSTEM_ORDER:
-            cfg, obs = engine_config, None
-            if cfg is None:
-                cfg, obs = maybe_observed_config()
-            m: ServingMetrics = simulate_trace(
-                systems[name], trace, engine_config=cfg
+            observer = make_observer(spec.observer)
+            m = simulate(spec, systems[name], trace, observer)
+            dump_observation(
+                f"{obs_prefix}-{name.lower()}-r{rate:g}", observer, m
             )
-            if obs is not None:
-                dump_observation(
-                    f"{obs_prefix or 'sweep'}-{name.lower()}-r{rate:g}",
-                    obs,
-                    m,
-                )
             points.append(
                 SweepPoint(
                     system=name,

@@ -6,55 +6,34 @@ are deployed with the paper's cross-server parallelism (TP8 prefill on
 the A100 servers, TP8 decode on the V100 servers) and replay the same
 ShareGPT-like trace; the table shows why HeroServe's hybrid scheduling
 wins — lower synchronisation latency, hence lower TTFT/TPOT and higher
-SLA attainment at the same rate.
+SLA attainment at the same rate. Each run is one scenario spec that
+differs only in its ``system`` field.
 
 Run:  python examples/chatbot_vs_baselines.py [rate]
 """
 
 import sys
 
-from repro import (
-    ALL_SYSTEMS,
-    SLA_TESTBED_CHATBOT,
-    OPT_66B,
-    CostModelBank,
-    build_system,
-    build_testbed,
-    generate_sharegpt_trace,
-    simulate_trace,
-)
-from repro.core.plan import ParallelConfig
-from repro.llm import A100, V100
+from repro import ALL_SYSTEMS, testbed_spec
+from repro.scenario import run_scenario
 from repro.util import print_table
-from repro.util.rng import make_rng
-
-#: The paper's evaluated regime: tensor parallelism spanning servers.
-CROSS_SERVER = ParallelConfig(8, 1, 8, 1)
 
 
 def main() -> None:
     rate = float(sys.argv[1]) if len(sys.argv) > 1 else 1.2
-    built = build_testbed()
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-    trace = generate_sharegpt_trace(rate, 90.0, make_rng(7))
-    forecast = trace.representative_batch(8)
-
     rows = []
-    for spec in ALL_SYSTEMS:
-        system = build_system(
-            spec,
-            built,
-            OPT_66B,
-            bank,
-            SLA_TESTBED_CHATBOT,
-            forecast,
-            arrival_rate=rate,
-            forced_parallel=CROSS_SERVER,
+    for system in ALL_SYSTEMS:
+        # The paper's evaluated regime: tensor parallelism spanning
+        # servers.
+        result = run_scenario(
+            testbed_spec(
+                rate, 90.0, seed=7, system=system.name, parallel=[8, 1, 8, 1]
+            )
         )
-        m = simulate_trace(system, trace)
+        m = result.metrics
         rows.append(
             [
-                spec.name,
+                system.name,
                 f"{m.attainment():.1%}",
                 f"{m.mean_ttft() * 1e3:.0f}",
                 f"{m.p90_ttft() * 1e3:.0f}",
@@ -67,7 +46,7 @@ def main() -> None:
         rows,
         title=(
             f"OPT-66B chatbot on the testbed @ {rate} req/s "
-            f"({len(trace)} requests, TP8 prefill / TP8 decode)"
+            f"({len(result.trace)} requests, TP8 prefill / TP8 decode)"
         ),
     )
     print(

@@ -4,65 +4,43 @@
 Builds the Fig. 6 testbed (2 A100 + 2 V100 servers, two programmable
 switches), runs HeroServe's offline planner for a ShareGPT-like chatbot
 workload, simulates a minute of traffic, and prints the plan plus the
-latency/SLA metrics the paper reports.
+latency/SLA metrics the paper reports. The whole run is one declarative
+scenario spec (``repro.testbed_spec``; docs/SCENARIOS.md).
 
 Run:  python examples/quickstart.py
 """
 
-from repro import (
-    HEROSERVE,
-    SLA_TESTBED_CHATBOT,
-    OPT_66B,
-    CostModelBank,
-    Observer,
-    build_system,
-    build_testbed,
-    generate_sharegpt_trace,
-    simulate_trace,
-)
-from repro.llm import A100, V100
-from repro.obs import FlightRecorder, SLOMonitor, default_slo_targets, write_report
-from repro.serving import EngineConfig
+from repro import SLA_TESTBED_CHATBOT, testbed_spec
+from repro.obs import write_report
+from repro.scenario import run_scenario
 from repro.util import print_table, units
-from repro.util.rng import make_rng
 
 
 def main() -> None:
     rate = 1.0  # requests/s offered to the deployment
-    built = build_testbed()
-    print(built.topology.summary())
-    print()
-
-    # Fit the Eq. 12-13 compute cost model for both GPU types.
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-
-    # A minute of chatbot traffic; the planner sees its forecast batch.
-    trace = generate_sharegpt_trace(rate, 60.0, make_rng(0))
-    forecast = trace.representative_batch(8)
-
-    system = build_system(
-        HEROSERVE,
-        built,
-        OPT_66B,
-        bank,
-        SLA_TESTBED_CHATBOT,
-        forecast,
-        arrival_rate=rate,
+    # A minute of chatbot traffic, observed with SLO burn-rate alerts
+    # and flight-recorder samples.
+    spec = testbed_spec(
+        rate,
+        60.0,
+        seed=0,
+        observer={
+            "flight": True,
+            "slo": {
+                "ttft": SLA_TESTBED_CHATBOT.ttft,
+                "tpot": SLA_TESTBED_CHATBOT.tpot,
+            },
+        },
     )
+    result = run_scenario(spec)
+    print(result.system.built.topology.summary())
+    print()
     print("Offline plan")
     print("------------")
-    print(system.plan.summary())
+    print(result.system.plan.summary())
     print()
 
-    # Observe the run: SLO burn-rate alerts + flight-recorder samples.
-    obs = Observer(
-        slo=SLOMonitor(default_slo_targets(SLA_TESTBED_CHATBOT)),
-        recorder=FlightRecorder(),
-    )
-    metrics = simulate_trace(
-        system, trace, engine_config=EngineConfig(observer=obs)
-    )
-    s = metrics.summary()
+    s = result.metrics.summary()
     print_table(
         ["metric", "value"],
         [
@@ -79,7 +57,8 @@ def main() -> None:
     )
 
     # One self-contained HTML dashboard for the run we just observed.
-    write_report("report.html", observer=obs, serving_metrics=metrics,
+    write_report("report.html", observer=result.observer,
+                 serving_metrics=result.metrics,
                  title=f"quickstart — HeroServe @ {rate} req/s")
     print("\nwrote report.html")
 

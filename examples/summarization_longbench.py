@@ -14,53 +14,48 @@ Run:  python examples/summarization_longbench.py [rate]
 
 import sys
 
-from repro import (
-    ALL_SYSTEMS,
-    OPT_66B,
-    CostModelBank,
-    build_system,
-    build_testbed,
-    generate_longbench_trace,
-    simulate_trace,
-)
+from repro import ALL_SYSTEMS
 from repro.core import SLA_TESTBED_SUMMARIZATION
-from repro.core.plan import ParallelConfig
-from repro.llm import A100, V100
+from repro.scenario import ScenarioSpec, run_scenario
 from repro.util import print_table
-from repro.util.rng import make_rng
-
-CROSS_SERVER = ParallelConfig(8, 1, 8, 1)
 
 
 def main() -> None:
     rate = float(sys.argv[1]) if len(sys.argv) > 1 else 0.08
-    built = build_testbed()
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-    trace = generate_longbench_trace(rate, 120.0, make_rng(17))
+    results = [
+        run_scenario(
+            ScenarioSpec.from_dict(
+                {
+                    "name": "summarization-longbench",
+                    "model": "OPT-66B",
+                    "system": system.name,
+                    "slo": "testbed-summarization",
+                    "parallel": [8, 1, 8, 1],
+                    "forecast_q": 4,
+                    "workload": {
+                        "generator": "longbench",
+                        "rate": rate,
+                        "duration": 120.0,
+                        "seed": 17,
+                    },
+                }
+            )
+        )
+        for system in ALL_SYSTEMS
+    ]
+    trace = results[0].trace
     stats = trace.stats()
     print(
         f"LongBench-like trace: {len(trace)} requests, "
         f"mean prompt {stats['input_mean']:.0f} tokens, "
         f"mean summary {stats['output_mean']:.0f} tokens"
     )
-    forecast = trace.representative_batch(4)
-
     rows = []
-    for spec in ALL_SYSTEMS:
-        system = build_system(
-            spec,
-            built,
-            OPT_66B,
-            bank,
-            SLA_TESTBED_SUMMARIZATION,
-            forecast,
-            arrival_rate=rate,
-            forced_parallel=CROSS_SERVER,
-        )
-        m = simulate_trace(system, trace)
+    for result in results:
+        m = result.metrics
         rows.append(
             [
-                spec.name,
+                result.spec.system,
                 f"{m.attainment():.1%}",
                 f"{m.mean_ttft():.2f}",
                 f"{m.mean_tpot() * 1e3:.1f}",

@@ -12,7 +12,9 @@ Scheduling on Heterogeneous Networks". The package provides:
 * :mod:`repro.workloads` — ShareGPT/LongBench-like trace generators;
 * :mod:`repro.baselines` — HeroServe vs DistServe / DS-ATP / DS-SwitchML;
 * :mod:`repro.obs` — tracing, metrics registry, profiling, logging;
-* :mod:`repro.faults` — fault injection, health detection, failover.
+* :mod:`repro.faults` — fault injection, health detection, failover;
+* :mod:`repro.scenario` — declarative run specs: the one way to build
+  and run a deployment.
 
 Quickstart::
 
@@ -75,6 +77,13 @@ from repro.obs import (
     TraceRecorder,
     setup_logging,
 )
+from repro.scenario import (
+    ScenarioSpec,
+    build_runtime,
+    plan_system,
+    run_scenario,
+    simulate,
+)
 from repro.serving import EngineConfig, ServingMetrics, find_max_rate
 from repro.workloads import (
     generate_loadshift_trace,
@@ -83,46 +92,48 @@ from repro.workloads import (
 )
 
 
+def testbed_spec(
+    rate: float = 0.5, duration: float = 60.0, seed: int = 0, **fields
+) -> ScenarioSpec:
+    """The quickstart scenario: HeroServe serving a ShareGPT-like
+    chatbot trace with OPT-66B on the paper's testbed.
+
+    ``fields`` sets any other spec field (``faults``, ``replan``,
+    ``observer``, ``schemes``, ...; see ``docs/SCENARIOS.md``).
+    """
+    return ScenarioSpec.from_dict(
+        {
+            "name": "quickstart",
+            "model": "OPT-66B",
+            "workload": {
+                "generator": "sharegpt",
+                "rate": rate,
+                "duration": duration,
+                "seed": seed,
+            },
+            **fields,
+        }
+    )
+
+
 def quick_testbed(
     rate: float = 0.5,
     duration: float = 60.0,
     seed: int = 0,
-    engine_config: EngineConfig | None = None,
-    fault_plan: "FaultPlan | None" = None,
-    replan: "ReplanConfig | None" = None,
+    observer: Observer | None = None,
+    **fields,
 ):
-    """Plan and simulate HeroServe on the paper's testbed in one call.
+    """Plan and simulate :func:`testbed_spec` in one call.
 
-    Returns ``(system, metrics)``. Meant for the README quickstart; the
-    examples directory shows the full API. Pass
-    ``EngineConfig(observer=Observer())`` to collect traces/metrics, a
-    :class:`~repro.faults.FaultPlan` to inject faults mid-run, and a
-    :class:`~repro.core.ReplanConfig` to arm load-triggered online
-    replanning.
+    Returns ``(system, metrics)``. ``observer`` attaches a caller-built
+    :class:`~repro.obs.Observer` (e.g. one carrying a self-profiler);
+    ``fields`` go to :func:`testbed_spec` — ``faults=plan.to_dict()``
+    injects a fault plan, ``replan={}`` arms online replanning.
     """
-    from repro.llm import A100, V100
-    from repro.util.rng import make_rng
-
-    built = build_testbed()
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-    trace = generate_sharegpt_trace(rate, duration, make_rng(seed))
-    system = build_system(
-        HEROSERVE,
-        built,
-        OPT_66B,
-        bank,
-        SLA_TESTBED_CHATBOT,
-        trace.representative_batch(8),
-        arrival_rate=rate,
-    )
-    metrics = simulate_trace(
-        system,
-        trace,
-        engine_config=engine_config,
-        fault_plan=fault_plan,
-        replan=replan,
-    )
-    return system, metrics
+    spec = testbed_spec(rate, duration, seed, **fields)
+    rt = build_runtime(spec)
+    system = plan_system(rt, observer)
+    return system, simulate(spec, system, rt.trace, observer)
 
 
 __all__ = [
@@ -173,4 +184,6 @@ __all__ = [
     "generate_longbench_trace",
     "generate_sharegpt_trace",
     "quick_testbed",
+    "run_scenario",
+    "testbed_spec",
 ]

@@ -39,8 +39,10 @@ flight-recorder sample ring as JSONL; ``--slo-ttft S`` /
 ``--slo-tpot S`` — attach a burn-rate SLO monitor with the given
 latency bounds; ``-v/-vv`` — INFO/DEBUG logging.
 
-This is a convenience wrapper over the public API; the examples/ and
-benchmarks/ directories show the full surface.
+Every run subcommand builds one ``repro.scenario`` spec and runs it
+through the scenario runner (``docs/SCENARIOS.md`` maps each subcommand
+to its spec); the examples/ and benchmarks/ directories show the full
+surface.
 """
 
 from __future__ import annotations
@@ -51,61 +53,56 @@ import os
 import sys
 
 from repro.comm import SchemeKind
-from repro.obs import (
-    NULL_OBSERVER,
-    FlightRecorder,
-    Observer,
-    SLOMonitor,
-    SLOTarget,
-    setup_logging,
-)
+from repro.core.objective import SLA_TESTBED_CHATBOT
+from repro.obs import NULL_OBSERVER, WHATIF_SETTINGS, setup_logging
+
+#: SLO targets of the observed runs when no ``--slo-*`` flag is given.
+_TESTBED_SLO = {
+    "ttft": SLA_TESTBED_CHATBOT.ttft,
+    "tpot": SLA_TESTBED_CHATBOT.tpot,
+}
 
 
-def _slo_monitor(args) -> "SLOMonitor | None":
-    """Build an SLO monitor when any ``--slo-*`` bound was given."""
-    targets = []
-    ttft = getattr(args, "slo_ttft", None)
-    tpot = getattr(args, "slo_tpot", None)
-    if ttft is not None:
-        targets.append(SLOTarget("ttft", ttft))
-    if tpot is not None:
-        targets.append(SLOTarget("tpot", tpot))
-    return SLOMonitor(targets) if targets else None
+def _observer_block(args, **block) -> "dict | None":
+    """Spec ``observer`` block for the telemetry flags.
 
-
-def _make_observer(args) -> "Observer | None":
-    """An :class:`Observer` when any telemetry output was requested."""
-    slo = _slo_monitor(args)
-    wants_flight = getattr(args, "flight_out", None)
-    if (
-        getattr(args, "trace_out", None)
-        or getattr(args, "metrics_out", None)
-        or wants_flight
-        or slo is not None
-    ):
-        return Observer(
-            slo=slo,
-            recorder=FlightRecorder() if wants_flight else None,
+    ``block`` holds the keys a subcommand always observes with; plain
+    runs get None unless an output or ``--slo-*`` flag asks for one.
+    """
+    if getattr(args, "flight_out", None):
+        block["flight"] = True
+    slo = {
+        metric: bound
+        for metric, bound in (
+            ("ttft", getattr(args, "slo_ttft", None)),
+            ("tpot", getattr(args, "slo_tpot", None)),
         )
+        if bound is not None
+    }
+    if slo:
+        block["slo"] = slo
+    if block or getattr(args, "trace_out", None) or getattr(
+        args, "metrics_out", None
+    ):
+        return block
     return None
 
 
-def _parse_schemes(args) -> tuple[str, ...]:
-    """Canonical names from a ``--schemes a,b`` flag (() when absent)."""
-    raw = getattr(args, "schemes", None)
-    if not raw:
-        return ()
+def _schemes(args) -> list[str]:
+    """Registered names from a ``--schemes a,b`` flag ([] when absent);
+    an unknown name raises ``KeyError``."""
     from repro.comm import get_scheme
 
-    return tuple(
+    raw = getattr(args, "schemes", None) or ""
+    return [
         get_scheme(part.strip()).name
         for part in raw.split(",")
         if part.strip()
-    )
+    ]
 
 
-def _load_fault_plan(args) -> "object | None":
-    """A :class:`~repro.faults.FaultPlan` when fault flags were given.
+def _fault_block(args) -> "dict | None":
+    """Spec ``faults`` block when fault flags were given.
 
     ``--fault-plan FILE`` loads a JSON plan; ``--mtbf S`` (with optional
     ``--mttr S``) generates a Poisson switch-outage plan over the run's
@@ -113,22 +110,39 @@ def _load_fault_plan(args) -> "object | None":
     """
     path = getattr(args, "fault_plan", None)
     mtbf = getattr(args, "mtbf", None)
-    if path is None and mtbf is None:
+    if path is not None:
+        with open(path) as fh:
+            return json.load(fh)
+    if mtbf is None:
         return None
-    from repro.faults import FaultPlan, poisson_plan
+    from repro.faults import poisson_plan
     from repro.util.rng import make_rng
 
-    if path is not None:
-        return FaultPlan.load(path)
-    seed = getattr(args, "seed", 0)
     return poisson_plan(
-        horizon_s=getattr(args, "duration", 60.0),
+        horizon_s=args.duration,
         mtbf_s=mtbf,
-        mttr_s=getattr(args, "mttr", None) or mtbf / 10.0,
-        rng=make_rng(seed),
+        mttr_s=args.mttr or mtbf / 10.0,
+        rng=make_rng(args.seed),
         switches=1,
-        seed=seed,
+        seed=args.seed,
+    ).to_dict()
+
+
+def _testbed_run(args, **fields):
+    """Run the quickstart scenario at the flags' rate/duration/seed."""
+    from repro import testbed_spec
+    from repro.scenario import run_scenario
+
+    return run_scenario(
+        testbed_spec(args.rate, args.duration, args.seed, **fields)
     )
+
+
+def _print_summary(result, width: int = 20) -> None:
+    print(result.system.plan.summary())
+    print()
+    for k, v in result.metrics.summary().items():
+        print(f"  {k:{width}s} {v:.4g}")
 
 
 def _export(observer, args, suffix: str = "") -> None:
@@ -139,10 +153,8 @@ def _export(observer, args, suffix: str = "") -> None:
     def _name(path: str | None) -> str | None:
         if path is None or not suffix:
             return path
-        stem, dot, ext = path.rpartition(".")
-        if not dot:
-            return f"{path}-{suffix}"
-        return f"{stem}-{suffix}.{ext}"
+        root, ext = os.path.splitext(path)
+        return f"{root}-{suffix}{ext}"
 
     observer.export(
         trace_path=_name(args.trace_out),
@@ -323,7 +335,8 @@ def _scenario_list() -> int:
         ("background", "cross-traffic bursts {intensity, ..., seed, until}"),
         ("faults", "{seed, events: [{time, kind, target, ...}]}"),
         ("replan", "online replanning thresholds (ReplanConfig fields)"),
-        ("observer", "{flight: bool, attribution: bool}"),
+        ("schemes", "extra collectives for the online policy tables"),
+        ("observer", "{flight: bool, attribution: bool, slo: {ttft, tpot}}"),
         ("matrix", "axis sweeps: dotted path -> list of values"),
     ]
     for name, doc in fields:
@@ -342,75 +355,35 @@ def _scenario_list() -> int:
 
 
 def cmd_quickstart(args) -> int:
-    from repro import ReplanConfig, quick_testbed
-    from repro.serving import EngineConfig
-
-    observer = _make_observer(args)
-    extra = _parse_schemes(args)
-    engine_config = (
-        EngineConfig(
-            observer=observer or NULL_OBSERVER, extra_schemes=extra
-        )
-        if observer is not None or extra
-        else None
+    result = _testbed_run(
+        args,
+        faults=_fault_block(args),
+        replan={} if args.online_replan else None,
+        schemes=_schemes(args),
+        observer=_observer_block(args),
     )
-    system, metrics = quick_testbed(
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        engine_config=engine_config,
-        fault_plan=_load_fault_plan(args),
-        replan=ReplanConfig() if args.online_replan else None,
-    )
-    print(system.plan.summary())
-    print()
-    for k, v in metrics.summary().items():
-        print(f"  {k:20s} {v:.4g}")
-    _export(observer, args)
+    _print_summary(result)
+    _export(result.observer, args)
     return 0
 
 
 def cmd_compare(args) -> int:
-    from repro import (
-        ALL_SYSTEMS,
-        SLA_TESTBED_CHATBOT,
-        OPT_66B,
-        CostModelBank,
-        EngineConfig,
-        build_system,
-        build_testbed,
-        generate_sharegpt_trace,
-        simulate_trace,
-    )
-    from repro.core.plan import ParallelConfig
-    from repro.llm import A100, V100
+    from repro import ALL_SYSTEMS
     from repro.util import print_table
-    from repro.util.rng import make_rng
 
-    built = build_testbed()
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-    trace = generate_sharegpt_trace(
-        args.rate, args.duration, make_rng(args.seed)
-    )
-    forecast = trace.representative_batch(8)
     rows = []
-    for spec in ALL_SYSTEMS:
-        system = build_system(
-            spec, built, OPT_66B, bank, SLA_TESTBED_CHATBOT, forecast,
-            arrival_rate=args.rate,
-            forced_parallel=ParallelConfig(8, 1, 8, 1),
+    for system in ALL_SYSTEMS:
+        result = _testbed_run(
+            args,
+            system=system.name,
+            parallel=[8, 1, 8, 1],
+            observer=_observer_block(args),
         )
-        observer = _make_observer(args)
-        engine_config = (
-            EngineConfig(observer=observer)
-            if observer is not None
-            else None
-        )
-        m = simulate_trace(system, trace, engine_config=engine_config)
-        _export(observer, args, suffix=spec.name.lower())
+        _export(result.observer, args, suffix=system.name.lower())
+        m = result.metrics
         rows.append(
             [
-                spec.name,
+                system.name,
                 f"{m.attainment():.1%}",
                 f"{m.mean_ttft() * 1e3:.0f}",
                 f"{m.mean_tpot() * 1e3:.1f}",
@@ -426,7 +399,6 @@ def cmd_compare(args) -> int:
 
 def cmd_plan(args) -> int:
     from repro import (
-        SLA_TESTBED_CHATBOT,
         BatchSpec,
         CommContext,
         CostModelBank,
@@ -435,6 +407,7 @@ def cmd_plan(args) -> int:
         build_testbed,
     )
     from repro.llm import A100, V100, get_model
+    from repro.scenario import make_observer
 
     model = get_model(args.model)
     built = build_testbed()
@@ -445,7 +418,7 @@ def cmd_plan(args) -> int:
     ctx = CommContext.from_built(
         built, heterogeneous=get_scheme(scheme).heterogeneous
     )
-    observer = _make_observer(args)
+    observer = make_observer(_observer_block(args))
     planner = OfflinePlanner(
         ctx, model, bank, SLA_TESTBED_CHATBOT, scheme,
         observer=observer or NULL_OBSERVER,
@@ -541,39 +514,48 @@ def cmd_routers(args) -> int:
 
 def cmd_fleet(args) -> int:
     """Replay a multi-turn session trace through a routed replica fleet."""
-    from repro.baselines import HEROSERVE, build_fleet
-    from repro.core import SLA_SIM_CHATBOT
-    from repro.core.plan import ParallelConfig
-    from repro.llm import A100, CostModelBank, get_model
-    from repro.network import build_xtracks_cluster
-    from repro.util import print_table
-    from repro.util.rng import make_rng
-    from repro.workloads import generate_session_trace
+    from dataclasses import replace
 
-    built = build_xtracks_cluster(2, n_units=2)  # 12 servers x 8 GPUs
-    model = get_model("OPT-175B")
-    bank = CostModelBank(model, {"A100": A100})
-    trace = generate_session_trace(
-        args.session_rate, args.duration, make_rng(args.seed)
+    from repro.scenario import (
+        ScenarioSpec,
+        build_runtime,
+        plan_system,
+        simulate,
     )
+    from repro.util import print_table
+
+    spec = ScenarioSpec.from_dict(
+        {
+            "name": "fleet",
+            "model": "OPT-175B",
+            # 12 servers x 8 GPUs
+            "topology": {"kind": "xtracks", "tracks": 2, "n_units": 2},
+            "slo": "sim-chatbot",
+            "parallel": [16, 1, 16, 1],
+            "workload": {
+                "generator": "sessions",
+                "rate": args.session_rate,
+                "duration": args.duration,
+                "seed": args.seed,
+            },
+            "arrival_rate": "trace-mean",
+            "n_replicas": args.replicas,
+            "router": args.router,
+        }
+    )
+    rt = build_runtime(spec)
+    # Never forecast below one request per new session.
+    rt = replace(
+        rt, arrival_rate=max(rt.arrival_rate, args.session_rate)
+    )
+    trace = rt.trace
     print(
         f"trace: {len(trace)} requests in "
         f"{len(set(r.session_id for r in trace))} sessions over "
         f"{trace.duration:.0f}s"
     )
-    fleet = build_fleet(
-        HEROSERVE,
-        built,
-        model,
-        bank,
-        SLA_SIM_CHATBOT,
-        trace.representative_batch(8),
-        arrival_rate=max(trace.mean_rate, args.session_rate),
-        n_replicas=args.replicas,
-        forced_parallel=ParallelConfig(16, 1, 16, 1),
-        router=args.router,
-    )
-    fm = fleet.run(trace)
+    fleet = plan_system(rt)
+    fm = simulate(spec, fleet, trace)
     s = fm.summary()
     rows = [
         ["router", fleet.router.name],
@@ -717,38 +699,21 @@ def _report_from_dir(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro import SLA_TESTBED_CHATBOT, quick_testbed
-    from repro.obs import default_slo_targets, render_text, write_report
-    from repro.serving import EngineConfig
+    from repro.obs import render_text, write_report
 
     if getattr(args, "from_dir", None):
         return _report_from_dir(args)
 
-    sla = SLA_TESTBED_CHATBOT
-    targets = []
-    if args.slo_ttft is not None:
-        targets.append(SLOTarget("ttft", args.slo_ttft))
-    if args.slo_tpot is not None:
-        targets.append(SLOTarget("tpot", args.slo_tpot))
-    if not targets:
-        targets = default_slo_targets(sla)
-    from repro.obs import AttributionCollector
-
-    observer = Observer(
-        slo=SLOMonitor(targets),
-        recorder=FlightRecorder(),
-        attribution=AttributionCollector(),
-    )
-    system, metrics = quick_testbed(
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        engine_config=EngineConfig(observer=observer),
+    result = _testbed_run(
+        args,
+        observer=_observer_block(
+            args, flight=True, attribution=True, slo=_TESTBED_SLO
+        ),
     )
     data = write_report(
         args.out,
-        observer=observer,
-        serving_metrics=metrics,
+        observer=result.observer,
+        serving_metrics=result.metrics,
         title="HeroServe testbed run",
         meta={
             "system": "HeroServe",
@@ -764,9 +729,7 @@ def cmd_report(args) -> int:
 
 def cmd_explain(args) -> int:
     """Attribute the slowest requests' latency along the critical path."""
-    from repro import quick_testbed
-    from repro.obs import AttributionCollector, render_waterfalls
-    from repro.serving import EngineConfig
+    from repro.obs import render_waterfalls
 
     if getattr(args, "from_dir", None):
         directory = args.from_dir
@@ -792,86 +755,54 @@ def cmd_explain(args) -> int:
         )
         return 0
 
-    attribution = AttributionCollector()
-    observer = Observer(
-        slo=_slo_monitor(args),
-        recorder=(
-            FlightRecorder()
-            if getattr(args, "flight_out", None)
-            else None
-        ),
-        attribution=attribution,
+    result = _testbed_run(
+        args,
+        faults=_fault_block(args),
+        schemes=_schemes(args),
+        observer=_observer_block(args, attribution=True),
     )
-    system, metrics = quick_testbed(
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        engine_config=EngineConfig(
-            observer=observer, extra_schemes=_parse_schemes(args)
-        ),
-        fault_plan=_load_fault_plan(args),
-    )
+    attribution = result.observer.attribution
     if not attribution.finished:
         print("no requests finished — nothing to explain")
         return 1
     print(
         render_waterfalls(attribution, slowest=args.slowest), end=""
     )
-    _export(observer, args)
+    _export(result.observer, args)
     return 0
 
 
 def cmd_demo(args) -> int:
     """Chaos demo: observed HeroServe run under fault injection."""
-    from repro import SLA_TESTBED_CHATBOT, quick_testbed
-    from repro.faults import FaultEvent, FaultPlan
-    from repro.obs import (
-        AttributionCollector,
-        default_slo_targets,
-        render_text,
-        write_report,
-    )
-    from repro.serving import EngineConfig
+    from repro.obs import render_text, write_report
 
     if args.flight_out is None:
         # set here rather than via set_defaults(): argparse shares the
         # parent parser's actions, so a subparser-level default would
         # leak into every other subcommand using the obs flags.
         args.flight_out = "demo-flight.jsonl"
-    plan = _load_fault_plan(args)
-    if plan is None:
-        # Default chaos: crash the first INA switch for 30 % of the run.
-        down = 0.2 * args.duration
-        plan = FaultPlan(
-            events=(
-                FaultEvent(
-                    time=down,
-                    kind="switch_down",
-                    target="switch#0",
-                    duration=0.3 * args.duration,
-                ),
-            ),
-            seed=args.seed,
-        )
-    slo = _slo_monitor(args)
-    observer = Observer(
-        slo=slo or SLOMonitor(default_slo_targets(SLA_TESTBED_CHATBOT)),
-        recorder=FlightRecorder(),
-        attribution=AttributionCollector(),
-    )
-    system, metrics = quick_testbed(
-        rate=args.rate,
-        duration=args.duration,
-        seed=args.seed,
-        engine_config=EngineConfig(
-            observer=observer, extra_schemes=_parse_schemes(args)
+    # Default chaos: crash the first INA switch for 30 % of the run.
+    faults = _fault_block(args) or {
+        "seed": args.seed,
+        "events": [
+            {
+                "time": 0.2 * args.duration,
+                "kind": "switch_down",
+                "target": "switch#0",
+                "duration": 0.3 * args.duration,
+            }
+        ],
+    }
+    result = _testbed_run(
+        args,
+        faults=faults,
+        schemes=_schemes(args),
+        observer=_observer_block(
+            args, attribution=True, slo=_TESTBED_SLO
         ),
-        fault_plan=plan,
     )
-    print(system.plan.summary())
-    print()
-    for k, v in metrics.summary().items():
-        print(f"  {k:20s} {v:.4g}")
+    observer = result.observer
+    _print_summary(result)
     failovers = observer.recorder.events("failover")
     print(f"\nrecorded failovers: {len(failovers)}")
     for ev in failovers:
@@ -883,19 +814,41 @@ def cmd_demo(args) -> int:
     data = write_report(
         args.out,
         observer=observer,
-        serving_metrics=metrics,
+        serving_metrics=result.metrics,
         title="HeroServe chaos demo",
         meta={
             "system": "HeroServe",
             "rate": f"{args.rate:g} req/s",
             "duration": f"{args.duration:g}s",
             "seed": args.seed,
-            "faults": len(plan),
+            "faults": len(faults["events"]),
         },
     )
     print(render_text(data), end="")
     print(f"wrote {args.out}")
     return 0
+
+
+#: ``replan --mid-fault`` events, dropped into the KV-migration window.
+_MID_FAULTS = {
+    # Degrade an Ethernet link across the whole transition window;
+    # migration flows contend with it but the cutover completes.
+    "link": {
+        "time": 40.0,
+        "kind": "link_degrade",
+        "target": "link#0",
+        "duration": 8.0,
+        "factor": 0.25,
+    },
+    # Kill a decode-endpoint server inside the migration itself; the
+    # transition rolls back and retries after recovery.
+    "server": {
+        "time": 42.8,
+        "kind": "server_down",
+        "target": "server#0",
+        "duration": 3.0,
+    },
+}
 
 
 def cmd_replan(args) -> int:
@@ -910,112 +863,53 @@ def cmd_replan(args) -> int:
     server fault rolls the transition back cleanly (a later trigger
     retries after recovery). No request is ever dropped.
     """
-    import json
-
-    from repro import (
-        SLA_TESTBED_CHATBOT,
-        OPT_66B,
-        CostModelBank,
-        ReplanConfig,
-        build_system,
-        build_testbed,
-        simulate_trace,
-    )
-    from repro.baselines import HEROSERVE
-    from repro.core.plan import ParallelConfig
-    from repro.faults import FaultEvent, FaultPlan
-    from repro.llm import A100, V100
-    from repro.obs import (
-        AttributionCollector,
-        default_slo_targets,
-        render_text,
-        write_report,
-    )
-    from repro.serving import EngineConfig
-    from repro.util.rng import make_rng
-    from repro.workloads import generate_loadshift_trace
+    from repro.obs import render_text, write_report
+    from repro.scenario import ScenarioSpec, run_scenario
 
     if args.flight_out is None:
         # set here rather than via set_defaults(): argparse shares the
         # parent parser's actions, so a subparser-level default would
         # leak into every other subcommand using the obs flags.
         args.flight_out = "replan-flight.jsonl"
-    built = build_testbed()
-    bank = CostModelBank(OPT_66B, {"A100": A100, "V100": V100})
-    trace = generate_loadshift_trace(
-        args.rate_a,
-        args.rate_b,
-        args.shift_at,
-        args.duration,
-        make_rng(args.seed),
-    )
-    system = build_system(
-        HEROSERVE,
-        built,
-        OPT_66B,
-        bank,
-        SLA_TESTBED_CHATBOT,
-        trace.representative_batch(8),
-        arrival_rate=args.rate_a,
-        forced_parallel=ParallelConfig(4, 2, 4, 2),
-    )
-    fault_plan = None
-    if args.mid_fault == "link":
-        # Degrade an Ethernet link across the whole transition window;
-        # migration flows contend with it but the cutover completes.
-        fault_plan = FaultPlan(
-            events=(
-                FaultEvent(
-                    time=40.0,
-                    kind="link_degrade",
-                    target="link#0",
-                    duration=8.0,
-                    factor=0.25,
+    mid_fault = _MID_FAULTS.get(args.mid_fault)
+    result = run_scenario(
+        ScenarioSpec.from_dict(
+            {
+                "name": "replan",
+                "model": "OPT-66B",
+                "parallel": [4, 2, 4, 2],
+                "workload": {
+                    "generator": "loadshift",
+                    "rate": args.rate_a,
+                    "duration": args.duration,
+                    "seed": args.seed,
+                    "params": {
+                        "rate_b": args.rate_b,
+                        "shift_at": args.shift_at,
+                    },
+                },
+                "faults": (
+                    {"seed": args.seed, "events": [mid_fault]}
+                    if mid_fault
+                    else None
                 ),
-            ),
-            seed=args.seed,
-        )
-    elif args.mid_fault == "server":
-        # Kill a decode-endpoint server inside the migration itself;
-        # the transition rolls back and retries after recovery.
-        fault_plan = FaultPlan(
-            events=(
-                FaultEvent(
-                    time=42.8,
-                    kind="server_down",
-                    target="server#0",
-                    duration=3.0,
+                "replan": {
+                    "queue_high": 3,
+                    "pending_high": 12,
+                    "sustain_checks": 4,
+                    "cooldown_s": 5.0,
+                    "window_s": 20.0,
+                    "min_window_requests": 4,
+                    "target_parallel": [8, 1, 8, 1],
+                },
+                "observer": _observer_block(
+                    args, attribution=True, slo=_TESTBED_SLO
                 ),
-            ),
-            seed=args.seed,
+            }
         )
-    slo = _slo_monitor(args)
-    observer = Observer(
-        slo=slo or SLOMonitor(default_slo_targets(SLA_TESTBED_CHATBOT)),
-        recorder=FlightRecorder(),
-        attribution=AttributionCollector(),
     )
-    replan = ReplanConfig(
-        queue_high=3,
-        pending_high=12,
-        sustain_checks=4,
-        cooldown_s=5.0,
-        window_s=20.0,
-        min_window_requests=4,
-        target_parallel=ParallelConfig(8, 1, 8, 1),
-    )
-    metrics = simulate_trace(
-        system,
-        trace,
-        engine_config=EngineConfig(observer=observer),
-        fault_plan=fault_plan,
-        replan=replan,
-    )
-    print(system.plan.summary())
-    print()
-    summary = metrics.summary()
-    for k, v in summary.items():
-        print(f"  {k:24s} {v:.4g}")
+    observer = result.observer
+    _print_summary(result, width=24)
     timeline = observer.recorder.replan_timeline()
     print(f"\nreplan timeline ({len(timeline)} events):")
     for ev in timeline:
@@ -1027,18 +921,18 @@ def cmd_replan(args) -> int:
         print(f"  @ {ev['time']:7.2f}s {ev['event']:20s} {extra}")
     if args.summary_out:
         with open(args.summary_out, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(result.metrics.summary(), fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.summary_out}")
     _export(observer, args)
     data = write_report(
         args.out,
         observer=observer,
-        serving_metrics=metrics,
+        serving_metrics=result.metrics,
         title="HeroServe online-replanning demo",
         meta={
             "system": "HeroServe",
-            "trace": trace.name,
+            "trace": result.trace.name,
             "rates": f"{args.rate_a:g}->{args.rate_b:g} req/s",
             "duration": f"{args.duration:g}s",
             "seed": args.seed,
@@ -1050,77 +944,25 @@ def cmd_replan(args) -> int:
     return 0
 
 
-#: Pinned operating points the what-if tolerances were measured at: a
-#: loaded-but-unsaturated regime per topology. Saturated regimes amplify
-#: second-order congestion coupling the first-order analytic model does
-#: not capture (see docs/OBSERVABILITY.md).
-WHATIF_SETTINGS = {
-    "testbed": {"rate": 1.0, "duration": 40.0},
-    "2tracks": {"rate": 0.6, "duration": 60.0},
-}
-
-
-def _build_whatif_deployment(args):
-    """(system, trace) for the what-if CLI's pinned topologies."""
-    from repro import build_system, generate_sharegpt_trace
-    from repro.baselines import HEROSERVE
-    from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
-    from repro.core.plan import ParallelConfig
-    from repro.llm import A100, V100, CostModelBank, OPT_66B, OPT_175B
-    from repro.network import build_testbed, build_xtracks_cluster
-    from repro.util.rng import make_rng
-
-    defaults = WHATIF_SETTINGS[args.topology]
-    rate = args.rate if args.rate is not None else defaults["rate"]
-    duration = (
-        args.duration
-        if args.duration is not None
-        else defaults["duration"]
-    )
-    if args.topology == "testbed":
-        built = build_testbed()
-        model = OPT_66B
-        bank = CostModelBank(model, {"A100": A100, "V100": V100})
-        sla = SLA_TESTBED_CHATBOT
-        parallel = ParallelConfig(8, 1, 8, 1)
-    else:
-        built = build_xtracks_cluster(2, n_units=1)
-        model = OPT_175B
-        bank = CostModelBank(model, {"A100": A100})
-        sla = SLA_SIM_CHATBOT
-        parallel = ParallelConfig(16, 1, 16, 1)
-    trace = generate_sharegpt_trace(
-        rate, duration, make_rng(args.seed)
-    )
-    system = build_system(
-        HEROSERVE,
-        built,
-        model,
-        bank,
-        sla,
-        trace.representative_batch(8),
-        arrival_rate=rate,
-        forced_parallel=parallel,
-    )
-    return system, trace, rate, duration
-
-
 def cmd_whatif(args) -> int:
     """Rank counterfactual resource upgrades by predicted tail gain."""
-    import json
+    from repro.obs import WhatIfProfiler, render_ladder, whatif_spec
+    from repro.scenario import ScenarioSpec, build_runtime, plan_system
 
-    from repro.obs import WhatIfProfiler, render_ladder
-
-    system, trace, rate, duration = _build_whatif_deployment(args)
-    profiler = WhatIfProfiler(system, trace)
+    spec = ScenarioSpec.from_dict(
+        whatif_spec(args.topology, args.rate, args.duration, args.seed)
+    )
+    rt = build_runtime(spec)
+    system = plan_system(rt)
+    profiler = WhatIfProfiler(system, rt.trace)
     result = profiler.ladder(validate=args.validate)
     print(render_ladder(result, top=args.top))
     payload = result.to_payload(
         meta={
             "topology": args.topology,
             "system": system.spec.name,
-            "rate": rate,
-            "duration": duration,
+            "rate": spec.workload.rate,
+            "duration": spec.workload.duration,
             "seed": args.seed,
         }
     )

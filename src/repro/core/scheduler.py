@@ -32,7 +32,6 @@ from repro.comm.scheme import (
     SchemeBinding,
     SchemeKind,
     get_scheme,
-    rank_switches,  # noqa: F401  (compat re-export)
 )
 from repro.core.policy import Policy, PolicyCostTable
 from repro.obs.observer import NULL_OBSERVER

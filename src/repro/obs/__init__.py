@@ -83,12 +83,14 @@ from repro.obs.trace import SpanRecord, TraceRecorder
 from repro.obs.whatif import (
     DEFAULT_CATALOG,
     DEFAULT_TOLERANCE,
+    WHATIF_SETTINGS,
     Intervention,
     RunStats,
     WhatIfEstimate,
     WhatIfProfiler,
     WhatIfResult,
     render_ladder,
+    whatif_spec,
 )
 
 __all__ = [
@@ -134,10 +136,12 @@ __all__ = [
     "TraceRecorder",
     "DEFAULT_CATALOG",
     "DEFAULT_TOLERANCE",
+    "WHATIF_SETTINGS",
     "Intervention",
     "RunStats",
     "WhatIfEstimate",
     "WhatIfProfiler",
     "WhatIfResult",
     "render_ladder",
+    "whatif_spec",
 ]

@@ -49,13 +49,54 @@ __all__ = [
     "DEFAULT_TOLERANCE",
     "ERROR_FLOOR_FRAC",
     "TOLERANCES",
+    "WHATIF_SETTINGS",
     "Intervention",
     "RunStats",
     "WhatIfEstimate",
     "WhatIfResult",
     "WhatIfProfiler",
     "render_ladder",
+    "whatif_spec",
 ]
+
+#: Pinned operating points the what-if tolerances were measured at, as
+#: scenario-spec fragments: a loaded-but-unsaturated regime per
+#: topology. Saturated regimes amplify second-order congestion coupling
+#: the first-order analytic model does not capture (see
+#: docs/OBSERVABILITY.md).
+WHATIF_SETTINGS: dict[str, dict] = {
+    "testbed": {
+        "model": "OPT-66B",
+        "slo": "testbed-chatbot",
+        "parallel": [8, 1, 8, 1],
+        "workload": {"generator": "sharegpt", "rate": 1.0, "duration": 40.0},
+    },
+    "2tracks": {
+        "model": "OPT-175B",
+        "topology": {"kind": "xtracks", "tracks": 2, "n_units": 1},
+        "slo": "sim-chatbot",
+        "parallel": [16, 1, 16, 1],
+        "workload": {"generator": "sharegpt", "rate": 0.6, "duration": 60.0},
+    },
+}
+
+
+def whatif_spec(
+    topology: str,
+    rate: float | None = None,
+    duration: float | None = None,
+    seed: int = 7,
+) -> dict:
+    """Scenario-spec dict of HeroServe at a :data:`WHATIF_SETTINGS`
+    point (``rate``/``duration`` default to the pinned values)."""
+    setting = WHATIF_SETTINGS[topology]
+    workload = dict(setting["workload"], seed=seed)
+    if rate is not None:
+        workload["rate"] = rate
+    if duration is not None:
+        workload["duration"] = duration
+    return {"name": f"whatif-{topology}", **setting, "workload": workload}
+
 
 #: Relative-error tolerance on the Δp99-TTFT agreement between the
 #: analytic estimate and the counterfactual re-simulation (the ISSUE 7
@@ -364,15 +405,6 @@ class WhatIfProfiler:
         self.baseline = stats_from_metrics(metrics)
         return metrics
 
-    def use_attributions(
-        self, collector: AttributionCollector
-    ) -> None:
-        """Adopt a pre-collected baseline (e.g. a ``--from-dir`` load)."""
-        self.collector = collector
-        self.baseline = self._stats_from_attributions(
-            collector.finished
-        )
-
     def _require_baseline(self) -> list[RequestAttribution]:
         if self.collector is None:
             self.run_baseline()
@@ -521,13 +553,6 @@ class WhatIfProfiler:
             c["queue_wait"] *= r_pre
             c["decode_wait"] *= r_dec
         return self._stats_from_components(attrs, scaled)
-
-    def _stats_from_attributions(
-        self, attrs: list[RequestAttribution]
-    ) -> RunStats:
-        return self._stats_from_components(
-            attrs, [a.components for a in attrs]
-        )
 
     def _stats_from_components(
         self,

@@ -12,8 +12,13 @@ from repro.scenario.matrix import (
 )
 from repro.scenario.runner import (
     ScenarioResult,
+    ScenarioRuntime,
     build_runtime,
+    build_trace,
+    make_observer,
+    plan_system,
     run_scenario,
+    simulate,
 )
 from repro.scenario.spec import (
     SLO_BY_NAME,
@@ -30,6 +35,7 @@ __all__ = [
     "MatrixCell",
     "MatrixResult",
     "ScenarioResult",
+    "ScenarioRuntime",
     "ScenarioSpec",
     "SLO_BY_NAME",
     "SpecError",
@@ -37,9 +43,13 @@ __all__ = [
     "TopologySpec",
     "WorkloadSpec",
     "build_runtime",
+    "build_trace",
     "expand_matrix",
     "load_spec",
+    "make_observer",
+    "plan_system",
     "run_matrix",
     "run_scenario",
+    "simulate",
     "validate_spec",
 ]

@@ -1,12 +1,22 @@
 """Realise and execute one scenario spec.
 
 The runner is the single translation point from declarative spec to the
-simulator's constructor graph. Construction ORDER here is part of the
-contract: planning and simulation are fully deterministic given the
-spec's seeds, and the refactored benches assert byte-identical result
-tables against their checked-in baselines — so the sequence (build
-topology -> bank -> trace -> plan -> simulate) mirrors exactly what the
-hand-wired benches did before the refactor.
+simulator's constructor graph, in three public steps that
+:func:`run_scenario` calls in order:
+
+1. :func:`build_runtime` — topology, cost bank, SLO and trace;
+2. :func:`plan_system` — the offline-planned ``ServingSystem`` (or
+   replica fleet);
+3. :func:`simulate` — the spec's background, faults, replan and
+   observer blocks turned into one ``simulate_trace`` call on a given
+   system and trace.
+
+Sweeps that plan once and replay many traces (the figure benches) call
+the plan step once and the simulate step once per trace. Construction
+ORDER is part of the contract: planning and simulation are fully
+deterministic given the spec's seeds, and the CLI goldens and bench
+baselines are byte-identical to the hand-wired construction the steps
+replaced.
 """
 
 from __future__ import annotations
@@ -31,11 +41,13 @@ from repro.network.builders import (
     build_testbed,
     build_xtracks_cluster,
 )
+from repro.obs.observer import NULL_OBSERVER
 from repro.scenario.spec import (
     _DEFAULT_GPUS,
     GPU_PROFILES,
     SLO_BY_NAME,
     ScenarioSpec,
+    WorkloadSpec,
 )
 from repro.serving.background import BackgroundTrafficConfig
 from repro.serving.engine import EngineConfig
@@ -43,7 +55,16 @@ from repro.util.rng import make_rng
 from repro.workloads.registry import get_workload
 from repro.workloads.traces import Trace
 
-__all__ = ["ScenarioResult", "build_runtime", "run_scenario"]
+__all__ = [
+    "ScenarioResult",
+    "ScenarioRuntime",
+    "build_runtime",
+    "build_trace",
+    "make_observer",
+    "plan_system",
+    "run_scenario",
+    "simulate",
+]
 
 
 @dataclass
@@ -66,6 +87,8 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     trace: Trace
+    #: the planned ServingSystem (single system) or ReplicaFleet
+    system: Any
     #: ServingMetrics (single system) or FleetMetrics (fleet path)
     metrics: Any
     observer: Any | None
@@ -90,12 +113,9 @@ def build_runtime(spec: ScenarioSpec) -> ScenarioRuntime:
         if isinstance(spec.slo, str)
         else SlaSpec(ttft=spec.slo["ttft"], tpot=spec.slo["tpot"])
     )
-    wl = spec.workload
-    trace = get_workload(wl.generator).build(
-        wl.rate, wl.duration, make_rng(wl.seed), **wl.params
-    )
+    trace = build_trace(spec.workload)
     if spec.arrival_rate is None:
-        arrival_rate = wl.rate
+        arrival_rate = spec.workload.rate
     elif spec.arrival_rate == "trace-mean":
         arrival_rate = trace.mean_rate
     else:
@@ -115,20 +135,48 @@ def build_runtime(spec: ScenarioSpec) -> ScenarioRuntime:
     )
 
 
-def _make_observer(spec: ScenarioSpec):
-    if spec.observer is None:
-        return None
-    from repro.obs import AttributionCollector, FlightRecorder, Observer
+def build_trace(workload: WorkloadSpec) -> Trace:
+    """Generate a workload block's trace (seeded by ``workload.seed``)."""
+    return get_workload(workload.generator).build(
+        workload.rate,
+        workload.duration,
+        make_rng(workload.seed),
+        **workload.params,
+    )
 
+
+def make_observer(block: dict | None):
+    """A fresh :class:`~repro.obs.Observer` for a spec's ``observer``
+    block, or None when the block is absent."""
+    if block is None:
+        return None
+    from repro.obs import (
+        AttributionCollector,
+        FlightRecorder,
+        Observer,
+        SLOMonitor,
+        SLOTarget,
+    )
+
+    slo = block.get("slo")
     return Observer(
-        recorder=(
-            FlightRecorder() if spec.observer.get("flight") else None
-        ),
-        attribution=(
-            AttributionCollector()
-            if spec.observer.get("attribution")
+        slo=(
+            SLOMonitor([SLOTarget(m, s) for m, s in slo.items()])
+            if slo
             else None
         ),
+        recorder=FlightRecorder() if block.get("flight") else None,
+        attribution=(
+            AttributionCollector() if block.get("attribution") else None
+        ),
+    )
+
+
+def _engine_config(spec: ScenarioSpec, observer) -> EngineConfig | None:
+    if observer is None and not spec.schemes:
+        return None
+    return EngineConfig(
+        observer=observer or NULL_OBSERVER, extra_schemes=spec.schemes
     )
 
 
@@ -140,6 +188,71 @@ def _make_replan(rp: dict) -> ReplanConfig:
     return ReplanConfig(**kwargs)
 
 
+def plan_system(rt: ScenarioRuntime, observer=None):
+    """Run the offline planner: a ``ServingSystem``, or a
+    ``ReplicaFleet`` when the spec sets ``n_replicas``.
+
+    A fleet wires its engines at build time, so it takes the run's
+    ``observer`` here; a single system takes it in :func:`simulate`.
+    """
+    spec = rt.spec
+    common = (
+        SYSTEM_BY_NAME[spec.system],
+        rt.built,
+        rt.model,
+        rt.bank,
+        rt.sla,
+        rt.trace.representative_batch(spec.forecast_q),
+    )
+    if spec.n_replicas is not None:
+        return build_fleet(
+            *common,
+            arrival_rate=rt.arrival_rate,
+            n_replicas=spec.n_replicas,
+            forced_parallel=rt.parallel,
+            engine_config=_engine_config(spec, observer),
+            router=spec.router,
+        )
+    return build_system(
+        *common,
+        arrival_rate=rt.arrival_rate,
+        forced_parallel=rt.parallel,
+    )
+
+
+def simulate(spec: ScenarioSpec, system, trace: Trace, observer=None):
+    """Serve ``trace`` on a planned ``system`` under the spec's
+    background, faults, replan and ``schemes`` blocks.
+
+    ``observer`` (usually :func:`make_observer`'s) is attached to the
+    run; a fleet already carries the one it was planned with.
+    """
+    if spec.n_replicas is not None:
+        return system.run(trace)
+    bg_cfg = bg_seed = bg_until = None
+    if spec.background is not None:
+        knobs = dict(spec.background)
+        bg_seed = knobs.pop("seed", None)
+        bg_until = knobs.pop("until", None)
+        bg_cfg = BackgroundTrafficConfig(**knobs)
+    return simulate_trace(
+        system,
+        trace,
+        engine_config=_engine_config(spec, observer),
+        background=bg_cfg,
+        background_seed=bg_seed,
+        background_until=bg_until,
+        fault_plan=(
+            FaultPlan.from_dict(spec.faults)
+            if spec.faults is not None
+            else None
+        ),
+        replan=(
+            _make_replan(spec.replan) if spec.replan is not None else None
+        ),
+    )
+
+
 def run_scenario(spec: ScenarioSpec, cell: str | None = None) -> ScenarioResult:
     """Execute one (non-matrix) scenario and summarise it.
 
@@ -147,63 +260,9 @@ def run_scenario(spec: ScenarioSpec, cell: str | None = None) -> ScenarioResult:
     summary); standalone runs leave it unset.
     """
     rt = build_runtime(spec)
-    observer = _make_observer(spec)
-    engine_config = (
-        EngineConfig(observer=observer) if observer is not None else None
-    )
-    sys_spec = SYSTEM_BY_NAME[spec.system]
-
-    if spec.n_replicas is not None:
-        fleet = build_fleet(
-            sys_spec,
-            rt.built,
-            rt.model,
-            rt.bank,
-            rt.sla,
-            rt.trace.representative_batch(spec.forecast_q),
-            arrival_rate=rt.arrival_rate,
-            n_replicas=spec.n_replicas,
-            forced_parallel=rt.parallel,
-            engine_config=engine_config,
-            router=spec.router,
-        )
-        metrics = fleet.run(rt.trace)
-    else:
-        system = build_system(
-            sys_spec,
-            rt.built,
-            rt.model,
-            rt.bank,
-            rt.sla,
-            rt.trace.representative_batch(spec.forecast_q),
-            arrival_rate=rt.arrival_rate,
-            forced_parallel=rt.parallel,
-        )
-        bg_cfg = bg_seed = bg_until = None
-        if spec.background is not None:
-            knobs = dict(spec.background)
-            bg_seed = knobs.pop("seed", None)
-            bg_until = knobs.pop("until", None)
-            bg_cfg = BackgroundTrafficConfig(**knobs)
-        metrics = simulate_trace(
-            system,
-            rt.trace,
-            engine_config=engine_config,
-            background=bg_cfg,
-            background_seed=bg_seed,
-            background_until=bg_until,
-            fault_plan=(
-                FaultPlan.from_dict(spec.faults)
-                if spec.faults is not None
-                else None
-            ),
-            replan=(
-                _make_replan(spec.replan)
-                if spec.replan is not None
-                else None
-            ),
-        )
-
+    observer = make_observer(spec.observer)
+    system = plan_system(rt, observer)
+    metrics = simulate(spec, system, rt.trace, observer)
     summary: dict = {
         "scenario": spec.name,
         "system": spec.system,
@@ -216,6 +275,7 @@ def run_scenario(spec: ScenarioSpec, cell: str | None = None) -> ScenarioResult:
     return ScenarioResult(
         spec=spec,
         trace=rt.trace,
+        system=system,
         metrics=metrics,
         observer=observer,
         summary=summary,

@@ -145,7 +145,12 @@ class ScenarioSpec:
     #: online replanning: ReplanConfig fields; ``target_parallel`` as a
     #: 4-tuple
     replan: dict | None = None
-    #: {"flight": bool, "attribution": bool} — attach an observer
+    #: extra registered collectives (by name) every group's online
+    #: policy table may pick from, e.g. ("ring-2stage", "tree")
+    schemes: tuple[str, ...] = ()
+    #: {"flight": bool, "attribution": bool, "slo": {"ttft": s,
+    #: "tpot": s}} — attach an observer (``slo`` adds a burn-rate
+    #: monitor with one target per given bound)
     observer: dict | None = None
     #: axis sweeps: dotted spec path -> list of values
     matrix: dict | None = None
@@ -177,6 +182,8 @@ class ScenarioSpec:
             d["parallel"] = list(self.parallel)
         if self.arrival_rate is not None:
             d["arrival_rate"] = self.arrival_rate
+        if self.schemes:
+            d["schemes"] = list(self.schemes)
         for key in ("router", "n_replicas", "background", "faults",
                     "replan", "observer", "matrix"):
             val = getattr(self, key)
@@ -229,6 +236,7 @@ class ScenarioSpec:
             background=d.get("background"),
             faults=d.get("faults"),
             replan=d.get("replan"),
+            schemes=tuple(d.get("schemes", ())),
             observer=d.get("observer"),
             matrix=d.get("matrix"),
         )
@@ -237,7 +245,7 @@ class ScenarioSpec:
 _TOP_LEVEL_KEYS = {
     "name", "model", "system", "topology", "gpus", "parallel", "slo",
     "workload", "arrival_rate", "forecast_q", "router", "n_replicas",
-    "background", "faults", "replan", "observer", "matrix",
+    "background", "faults", "replan", "schemes", "observer", "matrix",
 }
 
 
@@ -299,6 +307,7 @@ def validate_spec(d) -> list[SpecError]:
     _validate_background(errors, d.get("background"))
     _validate_faults(errors, d.get("faults"))
     _validate_replan(errors, d.get("replan"))
+    _validate_schemes(errors, d.get("schemes", ()))
     _validate_observer(errors, d.get("observer"))
     _validate_matrix(errors, d.get("matrix"))
 
@@ -526,19 +535,46 @@ def _validate_replan(errors, rp) -> None:
                            rp["target_parallel"])
 
 
+def _validate_schemes(errors, schemes) -> None:
+    if not isinstance(schemes, (list, tuple)):
+        errors.append(SpecError("schemes", "must be a list of names"))
+        return
+    from repro.comm import registered_schemes
+
+    names = sorted(s.name for s in registered_schemes())
+    for i, name in enumerate(schemes):
+        if name not in names:
+            errors.append(SpecError(
+                f"schemes[{i}]", f"must be one of {names}, got {name!r}"
+            ))
+
+
 def _validate_observer(errors, obs) -> None:
     if obs is None:
         return
     if not isinstance(obs, dict):
         errors.append(SpecError("observer", "must be a mapping"))
         return
-    for key in sorted(set(obs) - {"flight", "attribution"}):
+    for key in sorted(set(obs) - {"flight", "attribution", "slo"}):
         errors.append(SpecError(f"observer.{key}", "unknown field"))
     for key in ("flight", "attribution"):
         if key in obs and not isinstance(obs[key], bool):
             errors.append(SpecError(
                 f"observer.{key}", f"must be a boolean, got {obs[key]!r}"
             ))
+    slo = obs.get("slo")
+    if slo is None:
+        return
+    if not isinstance(slo, dict) or not slo:
+        errors.append(SpecError(
+            "observer.slo", "must be a non-empty {ttft, tpot} mapping"
+        ))
+        return
+    for key in sorted(set(slo) - {"ttft", "tpot"}):
+        errors.append(SpecError(f"observer.slo.{key}", "unknown field"))
+    for key in ("ttft", "tpot"):
+        if key in slo:
+            _positive_number(errors, f"observer.slo.{key}", slo[key])
 
 
 def _validate_matrix(errors, matrix) -> None:

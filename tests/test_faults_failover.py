@@ -90,7 +90,7 @@ class TestServingUnderFaults:
             rate=1.0,
             duration=12.0,
             seed=0,
-            fault_plan=BOTH_SWITCHES_PLAN,
+            faults=BOTH_SWITCHES_PLAN.to_dict(),
         )
         assert metrics.n_finished > 0
         s = metrics.summary()
@@ -112,7 +112,7 @@ class TestServingUnderFaults:
             seed=0,
         )
         _, metrics = quick_testbed(
-            rate=1.0, duration=12.0, seed=0, fault_plan=plan
+            rate=1.0, duration=12.0, seed=0, faults=plan.to_dict()
         )
         assert metrics.fault_stats is not None
         assert metrics.fault_stats.requests_lost >= 1
@@ -133,7 +133,7 @@ class TestServingUnderFaults:
             seed=0,
         )
         _, metrics = quick_testbed(
-            rate=1.0, duration=12.0, seed=0, fault_plan=plan
+            rate=1.0, duration=12.0, seed=0, faults=plan.to_dict()
         )
         assert metrics.fault_stats is not None
         assert metrics.fault_stats.kv_retries >= 1
@@ -155,7 +155,7 @@ class TestServingUnderFaults:
             seed=0,
         )
         _, metrics = quick_testbed(
-            rate=1.0, duration=12.0, seed=0, fault_plan=plan
+            rate=1.0, duration=12.0, seed=0, faults=plan.to_dict()
         )
         assert metrics.fault_stats.kv_exhausted == 0
         assert metrics.dropped == 0
@@ -179,7 +179,7 @@ class TestKvRetryBudget:
             seed=0,
         )
         _, metrics = quick_testbed(
-            rate=1.0, duration=15.0, seed=0, fault_plan=plan
+            rate=1.0, duration=15.0, seed=0, faults=plan.to_dict()
         )
         fs = metrics.fault_stats
         assert fs.kv_exhausted >= 1
@@ -195,7 +195,7 @@ class TestByteIdentity:
     def test_empty_plan_equals_no_plan(self):
         _, base = quick_testbed(rate=1.0, duration=10.0, seed=0)
         _, empty = quick_testbed(
-            rate=1.0, duration=10.0, seed=0, fault_plan=FaultPlan.empty()
+            rate=1.0, duration=10.0, seed=0, faults=FaultPlan.empty().to_dict()
         )
         assert empty.fault_stats is None
         assert empty.summary() == base.summary()

@@ -56,8 +56,8 @@ def run_testbed(seed: int, fault_plan=None, duration: float = 20.0):
         rate=1.0,
         duration=duration,
         seed=seed,
-        engine_config=EngineConfig(observer=observer),
-        fault_plan=fault_plan,
+        observer=observer,
+        faults=None if fault_plan is None else fault_plan.to_dict(),
     )
     return att, metrics
 

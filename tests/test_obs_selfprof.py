@@ -16,7 +16,6 @@ import inspect
 from repro import quick_testbed
 from repro.obs import Observer, SelfProfiler, SelfProfilingObserver
 from repro.obs.observer import NullObserver
-from repro.serving import EngineConfig
 from repro.sim.eventqueue import EventQueue
 
 
@@ -105,7 +104,7 @@ class TestEngineIntegration:
             rate=1.0,
             duration=20.0,
             seed=0,
-            engine_config=EngineConfig(observer=observer),
+            observer=observer,
         )
         return observer.selfprof, metrics
 
@@ -142,7 +141,7 @@ class TestEngineIntegration:
             rate=1.0,
             duration=15.0,
             seed=0,
-            engine_config=EngineConfig(observer=observer),
+            observer=observer,
         )
         assert sp.requests_finished == metrics.n_finished
         assert "engine.batch_formation" in sp.sections
@@ -158,7 +157,7 @@ class TestSnapshotReportRoundTrip:
             rate=1.0,
             duration=15.0,
             seed=0,
-            engine_config=EngineConfig(observer=observer),
+            observer=observer,
         )
         return observer.selfprof
 

@@ -17,32 +17,33 @@ Three load-bearing properties:
 from __future__ import annotations
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from repro.__main__ import WHATIF_SETTINGS, _build_whatif_deployment, main
+from repro.__main__ import main
 from repro.baselines.systems import simulate_trace
 from repro.obs import (
     DEFAULT_CATALOG,
     DEFAULT_TOLERANCE,
+    WHATIF_SETTINGS,
     Intervention,
     RunStats,
     WhatIfEstimate,
     WhatIfProfiler,
     WhatIfResult,
     render_ladder,
+    whatif_spec,
 )
 from repro.obs.whatif import ERROR_FLOOR_FRAC, TOLERANCES, tolerance_for
+from repro.scenario import ScenarioSpec, build_runtime, plan_system
 from repro.serving import EngineConfig
 
 
 def deployment(topology="testbed", rate=None, duration=None, seed=7):
-    args = SimpleNamespace(
-        topology=topology, rate=rate, duration=duration, seed=seed
+    rt = build_runtime(
+        ScenarioSpec.from_dict(whatif_spec(topology, rate, duration, seed))
     )
-    system, trace, _, _ = _build_whatif_deployment(args)
-    return system, trace
+    return plan_system(rt), rt.trace
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +368,7 @@ class TestFromDirDegradation:
             rate=1.0,
             duration=20.0,
             seed=0,
-            engine_config=EngineConfig(observer=observer),
+            observer=observer,
         )
         observer.recorder.write_jsonl(
             str(tmp_path / "run-flight.jsonl")
@@ -407,9 +408,7 @@ class TestFromDirDegradation:
             rate=1.0,
             duration=20.0,
             seed=0,
-            engine_config=EngineConfig(
-                observer=Observer(attribution=collector)
-            ),
+            observer=Observer(attribution=collector),
         )
         (tmp_path / "run-attribution.json").write_text(
             json.dumps(collector.to_payload())

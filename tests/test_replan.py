@@ -303,7 +303,7 @@ class TestByteIdentity:
         with open(GOLDEN) as fh:
             golden = json.load(fh)
         _, metrics = quick_testbed(
-            rate=1.0, duration=12.0, seed=0, replan=ReplanConfig()
+            rate=1.0, duration=12.0, seed=0, replan={}
         )
         summary = metrics.summary()
         replan_keys = {k for k in summary if k.startswith("replan_")}

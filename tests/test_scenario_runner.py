@@ -14,13 +14,18 @@ from repro.core.plan import ParallelConfig
 from repro.llm import OPT_66B, A100, V100, CostModelBank
 from repro.network import build_testbed
 from repro.obs import build_sweep_data, render_sweep_html, render_sweep_text
+from repro.serving import EngineConfig
 from repro.scenario import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     build_runtime,
+    build_trace,
+    make_observer,
+    plan_system,
     run_matrix,
     run_scenario,
+    simulate,
 )
 from repro.util.rng import make_rng
 from repro.workloads import generate_session_trace, generate_sharegpt_trace
@@ -140,6 +145,63 @@ class TestHandWiredParity:
         assert res.observer.attribution is None
         plain = run_scenario(_spec())
         assert plain.observer is None
+
+
+class TestSteps:
+    def test_steps_compose_to_run_scenario(self):
+        """build_runtime -> plan_system -> simulate is run_scenario."""
+        spec = _spec()
+        res = run_scenario(spec)
+        rt = build_runtime(spec)
+        system = plan_system(rt)
+        assert system.plan == res.system.plan
+        metrics = simulate(spec, system, rt.trace)
+        assert metrics.summary() == res.metrics.summary()
+        assert _request_key(metrics) == _request_key(res.metrics)
+
+    def test_one_plan_serves_many_traces(self):
+        """Simulating a second trace on a planned system matches a run
+        planned on the first trace and fed the second one: simulate
+        never re-plans and leaves no state behind."""
+        spec = _spec()
+        rt = build_runtime(spec)
+        system = plan_system(rt)
+        other = build_trace(
+            WorkloadSpec(
+                generator="sharegpt", rate=2 * RATE, duration=DURATION, seed=3
+            )
+        )
+        first = simulate(spec, system, other)
+        simulate(spec, system, rt.trace)
+        again = simulate(spec, system, other)
+        assert _request_key(first) == _request_key(again)
+        assert first.summary() == again.summary()
+
+    def test_make_observer_blocks(self):
+        assert make_observer(None) is None
+        bare = make_observer({})
+        assert bare.slo is None and bare.recorder is None
+        obs = make_observer(
+            {"attribution": True, "slo": {"ttft": 2.5, "tpot": 0.15}}
+        )
+        assert obs.attribution is not None and obs.recorder is None
+        assert [(t.metric, t.threshold_s) for t in obs.slo.targets] == [
+            ("ttft", 2.5),
+            ("tpot", 0.15),
+        ]
+
+    def test_schemes_reach_the_engine(self):
+        """The spec's ``schemes`` block widens the online policy tables
+        exactly as ``EngineConfig(extra_schemes=...)`` does."""
+        res = run_scenario(_spec(schemes=("ring-2stage",)))
+        rt = build_runtime(_spec())
+        hand = simulate_trace(
+            plan_system(rt),
+            rt.trace,
+            engine_config=EngineConfig(extra_schemes=("ring-2stage",)),
+        )
+        assert res.metrics.summary() == hand.summary()
+        assert _request_key(res.metrics) == _request_key(hand)
 
 
 class TestMatrix:

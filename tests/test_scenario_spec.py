@@ -176,6 +176,27 @@ class TestValidation:
         bad = dict(GOOD, gpus=["A100", "H999"])
         assert "gpus[1]" in _paths(validate_spec(bad))
 
+    def test_schemes_checked(self):
+        ok = dict(GOOD, schemes=["ring-2stage", "tree"])
+        assert validate_spec(ok) == []
+        bad = dict(GOOD, schemes=["tree", "warp-drive"])
+        assert _paths(validate_spec(bad)) == {"schemes[1]"}
+        assert "schemes" in _paths(validate_spec(dict(GOOD, schemes="tree")))
+
+    def test_observer_slo_checked(self):
+        ok = dict(GOOD, observer={"slo": {"ttft": 2.5}})
+        assert validate_spec(ok) == []
+        bad = dict(
+            GOOD, observer={"slo": {"ttft": 0, "p99": 1.0}, "flight": 1}
+        )
+        assert _paths(validate_spec(bad)) == {
+            "observer.slo.ttft",
+            "observer.slo.p99",
+            "observer.flight",
+        }
+        empty = dict(GOOD, observer={"slo": {}})
+        assert _paths(validate_spec(empty)) == {"observer.slo"}
+
 
 class TestFromDict:
     def test_raises_with_every_error(self):
@@ -196,9 +217,12 @@ class TestFromDict:
                 router="jsq",
                 n_replicas=2,
                 arrival_rate="trace-mean",
+                schemes=["tree"],
+                observer={"flight": True, "slo": {"tpot": 0.1}},
                 matrix={"router": ["jsq", "kv-affinity"]},
             )
         )
+        assert spec.schemes == ("tree",)
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec
 
@@ -220,6 +244,8 @@ class TestFromDict:
         assert spec.workload.seed == 0
         assert spec.forecast_q == 8
         assert spec.parallel is None
+        assert spec.schemes == ()
+        assert "schemes" not in spec.to_dict()
 
 
 class TestLoadSpec:
