@@ -4,29 +4,26 @@ Unlike the ``bench_fig*`` benches (which reproduce the *paper's*
 numbers), this one measures the *reproduction*: how many requests per
 host wall-clock second the discrete-event engine simulates, and where
 its Python time goes (event-queue handlers by tag, batch formation,
-link-load bookkeeping, controller ticks). The measurement harness is
-:class:`repro.obs.SelfProfilingObserver` — a NullObserver carrying only
-a :class:`~repro.obs.selfprof.SelfProfiler`, so the simulated *results*
-stay byte-identical to an unobserved run and the throughput number
-prices the simulator, not the telemetry.
+link-load bookkeeping, controller ticks). Each setting is a
+:mod:`repro.scenario` spec planned and simulated through the runner's
+steps; the run carries ``NullObserver(profiler=PhaseProfiler())``, so
+the simulated *results* stay byte-identical to an unobserved run and
+the throughput number prices the simulator, not the telemetry.
 
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
-perf-smoke job gates on: a >25 % drop in requests-simulated/sec on
-either topology fails the build). The ROADMAP's engine-vectorization
-work is measured against this file.
+perf-smoke job gates on: the work counters ``requests_finished`` and
+``events_fired`` must not move, and a >25 % drop in
+requests-simulated/sec on either topology fails the build). The
+ROADMAP's engine-vectorization work is measured against this file.
 """
+
+from dataclasses import astuple
 
 import pytest
 
-from repro.core import SLA_SIM_CHATBOT, SLA_TESTBED_CHATBOT
-from repro.baselines import HEROSERVE, build_system, simulate_trace
-from repro.llm import A100, OPT_66B, OPT_175B, V100, CostModelBank
-from repro.network import build_testbed, build_xtracks_cluster
-from repro.obs import SelfProfiler, SelfProfilingObserver
-from repro.serving import EngineConfig
-from repro.util.rng import make_rng
-from repro.workloads import generate_sharegpt_trace
+from repro.obs import NullObserver, PhaseProfiler
+from repro.scenario import ScenarioSpec, build_runtime, plan_system, simulate
 
 from common import (
     BENCH_SEED,
@@ -45,67 +42,82 @@ DURATION = 60.0
 
 SETTINGS = {
     "testbed OPT-66B": dict(
-        builder=lambda: build_testbed(),
-        model=OPT_66B,
-        gpus={"A100": A100, "V100": V100},
-        sla=SLA_TESTBED_CHATBOT,
+        model="OPT-66B",
+        topology={"kind": "testbed"},
+        slo="testbed-chatbot",
         parallel=TESTBED_PARALLEL,
         rate=1.0,
     ),
     "2tracks OPT-175B": dict(
-        builder=lambda: build_xtracks_cluster(2, n_units=1),
-        model=OPT_175B,
-        gpus={"A100": A100},
-        sla=SLA_SIM_CHATBOT,
+        model="OPT-175B",
+        topology={"kind": "xtracks", "tracks": 2, "n_units": 1},
+        slo="sim-chatbot",
         parallel=CLUSTER_PARALLEL,
         rate=1.2,
     ),
 }
 
 
-def profile_setting(spec: dict) -> dict:
-    """One profiled HeroServe run; returns the SelfProfiler snapshot."""
-    built = spec["builder"]()
-    trace = generate_sharegpt_trace(
-        spec["rate"], DURATION, make_rng(BENCH_SEED)
+def profile_setting(label: str, setting: dict) -> dict:
+    """One profiled HeroServe run; returns its throughput and tables.
+
+    The profiler's flat table holds the ``engine.run`` bracket, the
+    dotted engine/controller sections and one phase per event tag.
+    """
+    spec = ScenarioSpec.from_dict(
+        {
+            "name": f"engine-{label}",
+            "model": setting["model"],
+            "topology": setting["topology"],
+            "slo": setting["slo"],
+            "parallel": astuple(setting["parallel"]),
+            "forecast_q": 8,
+            "workload": {
+                "generator": "sharegpt",
+                "rate": setting["rate"],
+                "duration": DURATION,
+                "seed": BENCH_SEED,
+            },
+        }
     )
-    system = build_system(
-        HEROSERVE,
-        built,
-        spec["model"],
-        CostModelBank(spec["model"], spec["gpus"]),
-        spec["sla"],
-        trace.representative_batch(8),
-        arrival_rate=spec["rate"],
-        forced_parallel=spec["parallel"],
+    rt = build_runtime(spec)
+    system = plan_system(rt)
+    profiler = PhaseProfiler()
+    metrics = simulate(
+        spec, system, rt.trace, NullObserver(profiler=profiler)
     )
-    selfprof = SelfProfiler()
-    metrics = simulate_trace(
-        system,
-        trace,
-        engine_config=EngineConfig(
-            observer=SelfProfilingObserver(selfprof)
-        ),
-    )
-    snap = selfprof.snapshot()
-    snap["sim_finished"] = metrics.n_finished
-    snap["report"] = selfprof.report()
-    return snap
+    phases = profiler.breakdown()
+    counters = profiler.counters()
+    run = phases.pop("engine.run")
+    finished = counters["engine.requests_finished"]
+    events = counters["engine.events_fired"]
+    return {
+        "wall_s": run.total,
+        "requests_finished": finished,
+        "requests_per_s": finished / run.total,
+        "events_fired": events,
+        "events_per_s": events / run.total,
+        "sections": {n: s for n, s in phases.items() if "." in n},
+        "event_handlers": {n: s for n, s in phases.items() if "." not in n},
+        "sim_finished": metrics.n_finished,
+        "report": profiler.report(f"{label} engine profile"),
+    }
 
 
 def run_engine_profile() -> dict[str, dict]:
     check_stable_hashing()
     return {
-        label: profile_setting(spec)
-        for label, spec in SETTINGS.items()
+        label: profile_setting(label, setting)
+        for label, setting in SETTINGS.items()
     }
 
 
 def baseline_payload(snaps: dict[str, dict]) -> dict:
     """The BENCH_engine.json structure (see docs/PERFORMANCE.md).
 
-    ``requests_per_s`` is the gated number; section/handler tables are
-    recorded so a regression can be attributed without re-profiling.
+    ``requests_per_s`` and the work counters are gated; section/handler
+    tables are recorded so a regression can be attributed without
+    re-profiling.
     """
     settings = {}
     for label, snap in snaps.items():
@@ -116,12 +128,12 @@ def baseline_payload(snaps: dict[str, dict]) -> dict:
             "requests_finished": snap["requests_finished"],
             "events_fired": snap["events_fired"],
             "sections_ms": {
-                name: round(row["total_s"] * 1e3, 3)
-                for name, row in snap["sections"].items()
+                name: round(stat.total * 1e3, 3)
+                for name, stat in snap["sections"].items()
             },
             "event_handlers_ms": {
-                name: round(row["total_s"] * 1e3, 3)
-                for name, row in snap["event_handlers"].items()
+                name: round(stat.total * 1e3, 3)
+                for name, stat in snap["event_handlers"].items()
             },
         }
     return {
@@ -153,8 +165,8 @@ def test_engine_throughput(benchmark):
         rows,
         title=(
             "Engine throughput: requests simulated per host wall-clock "
-            "second (SelfProfilingObserver — results byte-identical "
-            "to an unobserved run)"
+            "second (NullObserver with a PhaseProfiler — results "
+            "byte-identical to an unobserved run)"
         ),
     )
     reports = "\n\n".join(snap["report"] for snap in snaps.values())
@@ -177,7 +189,7 @@ def test_engine_throughput(benchmark):
         assert snap["event_handlers"], label
         # Handler time is a subset of the bracketing run wall-clock.
         handler_s = sum(
-            row["total_s"] for row in snap["event_handlers"].values()
+            stat.total for stat in snap["event_handlers"].values()
         )
         assert handler_s <= snap["wall_s"] * 1.05, (
             label,

@@ -126,7 +126,8 @@ def quick_testbed(
     """Plan and simulate :func:`testbed_spec` in one call.
 
     Returns ``(system, metrics)``. ``observer`` attaches a caller-built
-    :class:`~repro.obs.Observer` (e.g. one carrying a self-profiler);
+    :class:`~repro.obs.Observer` (or a ``NullObserver(profiler=...)``
+    that only times the simulator hot path);
     ``fields`` go to :func:`testbed_spec` — ``faults=plan.to_dict()``
     injects a fault plan, ``replan={}`` arms online replanning.
     """

@@ -13,7 +13,6 @@ atomically between simulation events).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -52,11 +51,6 @@ class CentralController:
     _cost_baseline: dict[tuple[int, ...], float] = field(
         default_factory=dict
     )
-
-    def __post_init__(self) -> None:
-        #: simulator self-profiler carried by the observer (or None);
-        #: cached so the per-tick fast path skips the getattr
-        self._selfprof = getattr(self.observer, "selfprof", None)
 
     def scheduler_for(
         self, gpus: Sequence[int]
@@ -105,25 +99,14 @@ class CentralController:
         if now - self._last_refresh < self.refresh_period:
             return False
         self._last_refresh = now
-        sp = self._selfprof
-        if sp is None:
+        with self.observer.phase("controller.poll"):
             if self.ctx.linkstate is not None:
                 self.ctx.linkstate.poll()
             if self.health is not None:
                 self._poll_health(now)
+        with self.observer.phase("controller.refresh"):
             for sched in self._schedulers.values():
                 sched.refresh()
-        else:
-            t0 = time.perf_counter()
-            if self.ctx.linkstate is not None:
-                self.ctx.linkstate.poll()
-            if self.health is not None:
-                self._poll_health(now)
-            t1 = time.perf_counter()
-            sp.add("controller.poll", t1 - t0)
-            for sched in self._schedulers.values():
-                sched.refresh()
-            sp.add("controller.refresh", time.perf_counter() - t1)
         self.refreshes += 1
         return True
 

@@ -8,8 +8,11 @@ when disabled):
   JSONL or Chrome ``chrome://tracing`` JSON;
 * :mod:`repro.obs.metrics` — Prometheus-style counters / gauges /
   histograms with labels and a text/JSON exposition;
-* :mod:`repro.obs.profile` — wall-clock phase timers for the offline
-  planner (candidate enumeration, grouping, perturbation, objective);
+* :mod:`repro.obs.profile` — the one wall-clock profiler: phase timers
+  for the offline planner (candidate enumeration, grouping,
+  perturbation, objective) and for the simulator's own hot path
+  (per-event-tag handler times, engine and controller sections, the
+  requests-simulated/sec bracket behind BENCH_engine);
 * :mod:`repro.obs.logging_config` — stdlib logging setup for the CLI's
   ``-v/-vv`` flags;
 * :mod:`repro.obs.slo` — declarative SLO targets with SRE-style
@@ -22,9 +25,6 @@ when disabled):
   TTFT/TPOT decomposed into named components (queue wait, allreduce by
   policy with the congested link, KV retry inflation, ...), aggregated
   into fleet p50/p99 budgets and CLI waterfalls;
-* :mod:`repro.obs.selfprof` — host wall-clock self-profiling of the
-  simulator's own hot path (requests-simulated/sec, per-event-tag
-  handler times) — the BENCH_engine measurement harness;
 * :mod:`repro.obs.whatif` — counterfactual bottleneck ranking: predicts
   how p50/p99 TTFT, TPOT and throughput would move if one resource
   (a link class, INA slots, prefill/decode compute, the KV path, the
@@ -71,7 +71,6 @@ from repro.obs.report import (
     write_report,
     write_sweep_report,
 )
-from repro.obs.selfprof import SelfProfiler, SelfProfilingObserver
 from repro.obs.slo import (
     Alert,
     AlertSink,
@@ -102,8 +101,6 @@ __all__ = [
     "RequestTimeline",
     "render_waterfall",
     "render_waterfalls",
-    "SelfProfiler",
-    "SelfProfilingObserver",
     "SLOMonitor",
     "SLOTarget",
     "default_slo_targets",

@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.network.linkstate import LinkLoadTracker
     from repro.obs.attribution import AttributionCollector
     from repro.obs.recorder import FlightRecorder
-    from repro.obs.selfprof import SelfProfiler
     from repro.obs.slo import SLOMonitor
     from repro.serving.engine import ServingSimulator
     from repro.serving.request import RequestState
@@ -67,18 +66,14 @@ class Observer:
 
     def __init__(
         self,
-        trace: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
-        profiler: PhaseProfiler | None = None,
-        max_trace_events: int = 1_000_000,
         slo: "SLOMonitor | None" = None,
         recorder: "FlightRecorder | None" = None,
         attribution: "AttributionCollector | None" = None,
-        selfprof: "SelfProfiler | None" = None,
     ) -> None:
-        self.trace = trace or TraceRecorder(max_events=max_trace_events)
-        self.metrics = metrics or MetricsRegistry()
-        self.profiler = profiler or PhaseProfiler()
+        self.trace = TraceRecorder()
+        self.metrics = MetricsRegistry()
+        #: planner phases and the simulator hot path (host wall-clock)
+        self.profiler = PhaseProfiler()
         #: optional burn-rate SLO monitor, fed on request finishes and
         #: evaluated on ``engine_tick``
         self.slo = slo
@@ -86,9 +81,6 @@ class Observer:
         self.recorder = recorder
         #: optional per-request critical-path attribution collector
         self.attribution = attribution
-        #: optional simulator self-profiler (host wall-clock hot path);
-        #: read by the engine directly, independent of ``enabled``
-        self.selfprof = selfprof
 
         m = self.metrics
         self._slo_alerts = m.counter(
@@ -604,7 +596,7 @@ class Observer:
     # -- profiling ----------------------------------------------------------
 
     def phase(self, name: str):
-        """Wall-clock phase timer (planner/grouping phases)."""
+        """Wall-clock phase timer (planner phases, engine hot path)."""
         return self.profiler.phase(name)
 
     # -- export ---------------------------------------------------------------
@@ -666,97 +658,50 @@ class NullObserver:
 
     The default on every config/constructor, so existing call sites and
     benchmarks pay only an attribute check (``obs.enabled``) or an empty
-    method call when observability is off.
+    method call when observability is off. The hooks are generated from
+    :data:`OBSERVER_HOOKS`, so a hook added to :class:`Observer` is a
+    no-op here without further code.
+
+    ``NullObserver(profiler=PhaseProfiler())`` times the simulator hot
+    path through :meth:`phase` while ``enabled`` stays ``False``: no
+    spans, no metrics, and results byte-identical to an unobserved run.
     """
 
     enabled = False
     trace = None
     metrics = None
-    profiler = NULL_PROFILER
     slo = None
     recorder = None
     attribution = None
-    selfprof = None
 
-    def request_arrival(self, ts, req) -> None:
-        pass
-
-    def request_dropped(self, ts, req) -> None:
-        pass
-
-    def request_finished(self, ts, req) -> None:
-        pass
-
-    def prefill_span(self, *args, **kwargs) -> None:
-        pass
-
-    def decode_span(self, *args, **kwargs) -> None:
-        pass
-
-    def kv_transfer_span(self, *args, **kwargs) -> None:
-        pass
-
-    def allreduce_span(self, *args, **kwargs) -> None:
-        pass
-
-    def policy_selected(self, group, policy, mode) -> None:
-        pass
-
-    def controller_tick(self, ts, refreshed) -> None:
-        pass
-
-    def sample_links(self, ts, linkstate) -> None:
-        pass
-
-    def kv_sample(self, ts, used, capacity) -> None:
-        pass
-
-    def engine_tick(self, ts, sim) -> None:
-        pass
-
-    def fault_injected(self, ts, kind, target) -> None:
-        pass
-
-    def health_transition(
-        self, ts, kind, resource, state, detail=""
-    ) -> None:
-        pass
-
-    def failover(self, ts, group, direction) -> None:
-        pass
-
-    def kv_retry(self, ts, attempt, delay, request_ids=()) -> None:
-        pass
-
-    def requests_requeued(self, ts, n, request_ids=()) -> None:
-        pass
-
-    def replan_event(self, ts, event, **detail) -> None:
-        pass
-
-    def route_decision(
-        self,
-        ts,
-        request_id,
-        replica,
-        router,
-        reason,
-        affinity_hit=None,
-        kv_fetch_bytes=0.0,
-    ) -> None:
-        pass
-
-    def fleet_all_degraded(self, ts, n_replicas) -> None:
-        pass
-
-    def run_finished(self, ts, sim) -> None:
-        pass
+    def __init__(self, profiler=NULL_PROFILER) -> None:
+        self.profiler = profiler
 
     def phase(self, name: str):
-        return NULL_PROFILER.phase(name)
+        return self.profiler.phase(name)
 
     def export(self, trace_path=None, metrics_path=None) -> None:
         pass
+
+
+#: The per-event hooks: every public :class:`Observer` method except
+#: ``phase`` and ``export``.
+OBSERVER_HOOKS = tuple(
+    name
+    for name, member in vars(Observer).items()
+    if callable(member)
+    and not name.startswith("_")
+    and name not in ("phase", "export")
+)
+
+
+def _no_op(self, *args, **kwargs) -> None:
+    """Disabled observer hook."""
+
+
+for _hook in OBSERVER_HOOKS:
+    setattr(NullObserver, _hook, _no_op)
+del _hook
 
 
 #: Shared default instance (stateless, safe to share across engines).

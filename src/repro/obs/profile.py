@@ -1,22 +1,31 @@
-"""Wall-clock phase profiling for the offline planner.
+"""Wall-clock phase profiling: the one profiler of planner and simulator.
 
-``bench_planner_time`` historically reported one number per planner run;
-the §III-C3 claim (28.57 % faster than DistServe's search) rests on
-*which* phases the heuristics cut — candidate enumeration, constrained
-k-means grouping, swap perturbation, objective evaluation. A
-:class:`PhaseProfiler` accumulates wall time per named phase so the
-benchmark can print that breakdown.
+A :class:`PhaseProfiler` accumulates host wall time per named phase, plus
+named event counters, in one flat table. Two layers feed it:
+
+* the offline planner — candidate enumeration, constrained k-means
+  grouping, swap perturbation, objective evaluation (the §III-C3 claim,
+  28.57 % faster than DistServe's search, rests on *which* phases the
+  heuristics cut; ``bench_planner_time`` prints that breakdown);
+* the serving simulator's hot path — every event handler timed under its
+  event tag (``arrival``, ``decode_iter`` ...), the engine sections
+  ``engine.batch_formation`` / ``engine.link_load`` /
+  ``engine.controller_tick``, the controller's ``controller.poll`` /
+  ``controller.refresh``, and the ``engine.run`` bracket with its
+  ``engine.requests_finished`` / ``engine.events_fired`` counters
+  (``bench_engine_throughput`` reduces them to requests per second).
 
 Thread-safe: the planner's asynchronous prefill/decode estimation runs
-phases from two worker threads concurrently.
+phases from two worker threads concurrently. :meth:`PhaseProfiler.phase`
+returns a slotted context manager rather than a ``@contextmanager``
+generator, because the engine opens one per event handler.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
+from time import perf_counter
 
 __all__ = ["PhaseStat", "PhaseProfiler", "NullProfiler", "NULL_PROFILER"]
 
@@ -56,13 +65,9 @@ class PhaseProfiler:
             stat.total += elapsed
             stat.count += 1
 
-    @contextmanager
-    def phase(self, name: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - t0)
+    def phase(self, name: str) -> "_Phase":
+        """Context manager timing its body as one ``name`` occurrence."""
+        return _Phase(self, name)
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the named event counter."""
@@ -106,10 +111,22 @@ class PhaseProfiler:
                 lines.append(f"  {name:<{width}s}  {n:9d} events")
         return "\n".join(lines)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._stats.clear()
-            self._counters.clear()
+
+class _Phase:
+    """One timed phase; records its elapsed time on exit, also on error."""
+
+    __slots__ = ("_profiler", "_name", "_t0")
+
+    def __init__(self, profiler: PhaseProfiler, name: str) -> None:
+        self._profiler = profiler
+        self._name = name
+
+    def __enter__(self) -> None:
+        self._t0 = perf_counter()
+
+    def __exit__(self, *exc) -> bool:
+        self._profiler.record(self._name, perf_counter() - self._t0)
+        return False
 
 
 class _NullContext:
@@ -151,9 +168,6 @@ class NullProfiler:
 
     def report(self, title: str = "phase breakdown") -> str:
         return f"{title}: (profiling disabled)"
-
-    def reset(self) -> None:
-        pass
 
 
 #: Shared instance for default arguments.

@@ -25,7 +25,6 @@ Communication scheduling per system:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,10 +148,6 @@ class ServingSimulator:
         self._n_slots = (
             DEFAULT_N_SLOTS if self.cfg.n_slots is None else self.cfg.n_slots
         )
-        #: simulator self-profiler (host wall-clock); carried by the
-        #: observer but read independently of ``obs.enabled`` so the
-        #: benchmark can time the hot path without span overhead
-        self._sp = getattr(self.obs, "selfprof", None)
         self._poll_counter = 0
 
         # A fleet shares one queue (and one link tracker) across
@@ -389,26 +384,20 @@ class ServingSimulator:
         duration: float,
     ) -> list[int]:
         """Register each footprint's mean rate for the pass duration."""
-        sp = self._sp
-        t0 = time.perf_counter() if sp is not None else 0.0
         handles = []
         ls = self.ctx.linkstate
-        for links, total_bytes in footprints:
-            rate = total_bytes / max(duration, 1e-9)
-            handles.append(ls.register(list(links), rate))
-        if sp is not None:
-            sp.add("engine.link_load", time.perf_counter() - t0)
+        with self.obs.phase("engine.link_load"):
+            for links, total_bytes in footprints:
+                rate = total_bytes / max(duration, 1e-9)
+                handles.append(ls.register(list(links), rate))
         return handles
 
     def _release(self, handles: list[int]) -> None:
         # Tolerant release: failover cancellation may race an already
         # completed pass, and a double release must not kill the run.
-        sp = self._sp
-        t0 = time.perf_counter() if sp is not None else 0.0
-        for h in handles:
-            self.ctx.linkstate.release(h, strict=False)
-        if sp is not None:
-            sp.add("engine.link_load", time.perf_counter() - t0)
+        with self.obs.phase("engine.link_load"):
+            for h in handles:
+                self.ctx.linkstate.release(h, strict=False)
 
     # ------------------------------------------------------------------
     # prefill
@@ -444,13 +433,8 @@ class ServingSimulator:
             or not self.prefill_queue
         ):
             return
-        sp = self._sp
-        if sp is None:
+        with self.obs.phase("engine.batch_formation"):
             batch = self._form_prefill_batch()
-        else:
-            t0 = time.perf_counter()
-            batch = self._form_prefill_batch()
-            sp.add("engine.batch_formation", time.perf_counter() - t0)
         self.prefill_busy = True
         spec = BatchSpec(
             tuple(r.input_len for r in batch),
@@ -692,13 +676,8 @@ class ServingSimulator:
     def _try_start_decode(self) -> None:
         if self.decode_busy or self._decode_down or self.replan_hold:
             return
-        sp = self._sp
-        if sp is None:
+        with self.obs.phase("engine.batch_formation"):
             self._admit_decode()
-        else:
-            t0 = time.perf_counter()
-            self._admit_decode()
-            sp.add("engine.batch_formation", time.perf_counter() - t0)
         if not self.decode_active:
             return
         self.decode_busy = True
@@ -922,32 +901,28 @@ class ServingSimulator:
     # ------------------------------------------------------------------
 
     def _tick_controller(self) -> None:
-        sp = self._sp
-        if sp is None:
-            self._tick_controller_inner()
-        else:
-            t0 = time.perf_counter()
-            self._tick_controller_inner()
-            sp.add("engine.controller_tick", time.perf_counter() - t0)
-
-    def _tick_controller_inner(self) -> None:
-        if self.replanner is not None:
-            self.replanner.on_tick(self.queue.now)
-        if self.controller is not None:
-            refreshed = self.controller.tick(self.queue.now)
-            if self.obs.enabled:
-                self.obs.controller_tick(self.queue.now, refreshed)
-                if refreshed:
-                    self.obs.sample_links(self.queue.now, self.ctx.linkstate)
-                    self.obs.engine_tick(self.queue.now, self)
-        else:
-            # Baselines still poll link counters so EWMA views stay live.
-            self.ctx.linkstate.poll()
-            if self.obs.enabled:
-                self._poll_counter += 1
-                if self._poll_counter % _BASELINE_LINK_SAMPLE_EVERY == 0:
-                    self.obs.sample_links(self.queue.now, self.ctx.linkstate)
-                    self.obs.engine_tick(self.queue.now, self)
+        with self.obs.phase("engine.controller_tick"):
+            if self.replanner is not None:
+                self.replanner.on_tick(self.queue.now)
+            if self.controller is not None:
+                refreshed = self.controller.tick(self.queue.now)
+                if self.obs.enabled:
+                    self.obs.controller_tick(self.queue.now, refreshed)
+                    if refreshed:
+                        self.obs.sample_links(
+                            self.queue.now, self.ctx.linkstate
+                        )
+                        self.obs.engine_tick(self.queue.now, self)
+            else:
+                # Baselines still poll link counters so EWMA views stay live.
+                self.ctx.linkstate.poll()
+                if self.obs.enabled:
+                    self._poll_counter += 1
+                    if self._poll_counter % _BASELINE_LINK_SAMPLE_EVERY == 0:
+                        self.obs.sample_links(
+                            self.queue.now, self.ctx.linkstate
+                        )
+                        self.obs.engine_tick(self.queue.now, self)
 
     def submit(self, tr) -> RequestState:
         """Accept one routed request *now* (fleet/router entry point)."""
@@ -982,14 +957,11 @@ class ServingSimulator:
                 tr.arrival_time, self._on_arrival, req, tag="arrival"
             )
         horizon = self.trace.duration + self.cfg.drain_time
-        sp = self._sp
-        if sp is not None:
-            sp.run_started()
-        self.queue.run(until=horizon, profiler=sp)
-        if sp is not None:
-            sp.run_finished(
-                self.metrics.n_finished, self.queue.events_fired
-            )
+        profiler = self.obs.profiler
+        with profiler.phase("engine.run"):
+            self.queue.run(until=horizon, profiler=profiler)
+        profiler.count("engine.requests_finished", self.metrics.n_finished)
+        profiler.count("engine.events_fired", self.queue.events_fired)
         if self.faults is not None:
             self.faults.finalize(self.queue.now, self.metrics)
         if self.replanner is not None:

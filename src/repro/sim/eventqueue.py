@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.obs.profile import NULL_PROFILER
 
 
 @dataclass(order=True)
@@ -108,12 +109,13 @@ class EventQueue:
             heapq.heappop(self._heap)
         return self._heap[0].time if self._heap else None
 
-    def step(self, profiler=None) -> bool:
+    def step(self, profiler=NULL_PROFILER) -> bool:
         """Fire the next live event. Returns ``False`` if none remain.
 
-        ``profiler`` (a :class:`~repro.obs.selfprof.SelfProfiler`) gets
-        the handler's host wall-clock time per event tag — the pop-level
-        hot-path instrumentation of the simulator self-profile.
+        ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) times
+        the handler in host wall-clock as a phase named by the event's
+        tag (``"untagged"`` when it has none) — the pop-level hot-path
+        instrumentation of the simulator profile.
         """
         while self._heap:
             entry = heapq.heappop(self._heap)
@@ -122,14 +124,8 @@ class EventQueue:
                 continue
             self.now = ev.time
             self._n_fired += 1
-            if profiler is None:
+            with profiler.phase(ev.tag or "untagged"):
                 ev.fn(*ev.args)
-            else:
-                t0 = time.perf_counter()
-                ev.fn(*ev.args)
-                profiler.event(
-                    ev.tag or "untagged", time.perf_counter() - t0
-                )
             return True
         return False
 
@@ -137,7 +133,7 @@ class EventQueue:
         self,
         until: float | None = None,
         max_events: int | None = None,
-        profiler=None,
+        profiler=NULL_PROFILER,
     ) -> None:
         """Drain the queue, optionally bounded by time and/or event count.
 

@@ -75,12 +75,12 @@ class TestNoBehaviourChange:
         )
 
     def test_null_observer_new_hooks_are_noops(self):
-        """Every hook added for attribution/self-profiling must stay a
+        """Every hook added for attribution/profiling must stay a
         no-op on the NullObserver — including the new keyword args."""
-        from repro.obs import NULL_OBSERVER
+        from repro.obs import NULL_OBSERVER, NULL_PROFILER
 
         assert NULL_OBSERVER.attribution is None
-        assert NULL_OBSERVER.selfprof is None
+        assert NULL_OBSERVER.profiler is NULL_PROFILER
         NULL_OBSERVER.prefill_span(
             0.0, 1.0, 1, 10, 0.5, 0.5, request_ids=(1, 2)
         )

@@ -66,12 +66,6 @@ class TestPhaseProfiler:
             t.join()
         assert p.breakdown()["t"].count == 2000
 
-    def test_reset(self):
-        p = PhaseProfiler()
-        p.record("a", 1.0)
-        p.reset()
-        assert p.phase_times() == {}
-
     def test_report_mentions_phases(self):
         p = PhaseProfiler()
         p.record("grouping.kmeans", 0.25)

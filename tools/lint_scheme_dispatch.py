@@ -50,8 +50,6 @@ CONSTRUCTION_ALLOWED = {
     "src/repro/baselines/systems.py": "defines the constructors",
     "src/repro/obs/whatif.py":
         "counterfactual re-simulation of a given planned system",
-    "benchmarks/bench_engine_throughput.py":
-        "hot-path timing with a SelfProfilingObserver (CI perf gate)",
     "benchmarks/bench_ablation_scheduler.py":
         "ablates the online controller (an arm without one)",
     "examples/autoscaling_fleet.py":
