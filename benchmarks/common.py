@@ -118,7 +118,7 @@ def dump_observation(name: str, observer, metrics=None) -> None:
     )
     if observer.recorder is not None:
         observer.recorder.write_jsonl(obs_path(f"{name}-flight.jsonl"))
-    attribution = getattr(observer, "attribution", None)
+    attribution = observer.attribution
     if attribution is not None and attribution.finished:
         # Full per-request timelines (AttributionCollector.to_payload),
         # so `python -m repro explain --from-dir` and the what-if

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -35,14 +33,6 @@ class BatchSpec:
     def uniform(cls, q: int, input_len: int, output_len: int) -> "BatchSpec":
         """Batch of ``q`` identical requests (the Fig. 1 setup)."""
         return cls((input_len,) * q, (output_len,) * q)
-
-    @classmethod
-    def from_arrays(
-        cls, inputs: np.ndarray, outputs: np.ndarray
-    ) -> "BatchSpec":
-        return cls(
-            tuple(int(x) for x in inputs), tuple(int(x) for x in outputs)
-        )
 
     @property
     def q(self) -> int:

@@ -46,11 +46,6 @@ class CostCoefficients:
     c5: float  # decode KV-attention seconds per feature
     c6: float  # decode fixed overhead incl. pipeline fill
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.c1, self.c2, self.c3, self.c4, self.c5, self.c6]
-        )
-
 
 def fit_coefficients(
     model: ModelConfig,

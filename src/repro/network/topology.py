@@ -177,14 +177,6 @@ class Topology:
             out.append(n.node_id)
         return out
 
-    def gpus_on_server(self, server: int) -> list[int]:
-        """Ids of GPU nodes on a given server."""
-        return [
-            n.node_id
-            for n in self.nodes
-            if n.is_gpu and n.server == server
-        ]
-
     def servers(self) -> list[int]:
         """Sorted list of distinct server ids present in the graph."""
         return sorted({n.server for n in self.nodes if n.is_gpu})

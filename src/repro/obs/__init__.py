@@ -1,8 +1,12 @@
-"""Observability: tracing, metrics registry, profiling, logging.
+"""Observability: one observer event stream, its sinks, profiling, logging.
 
-Three pillars threaded through the simulator and schedulers by a single
-:class:`Observer` handle (default :class:`NullObserver` — zero overhead
-when disabled):
+A single :class:`Observer` handle is threaded through the simulator and
+schedulers (default :class:`NullObserver` — zero overhead when
+disabled). Call sites fire hooks declared once on :class:`NullObserver`
+(:mod:`repro.obs.observer`); the observer fans each hook out to the
+sinks that define a method of the same name — the trace and metrics
+below, plus the optional attribution collector, flight recorder and SLO
+monitor:
 
 * :mod:`repro.obs.trace` — request/batch/all-reduce spans exportable as
   JSONL or Chrome ``chrome://tracing`` JSON;

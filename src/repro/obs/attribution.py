@@ -47,12 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.request import RequestState
 
 __all__ = [
     "CRITICAL_PATH_COMPONENTS",
@@ -293,9 +289,11 @@ class RequestAttribution:
 class AttributionCollector:
     """Links observer events into per-request critical-path budgets.
 
-    Attach via ``Observer(attribution=AttributionCollector())``. The
-    default observer keeps ``attribution=None`` so existing observed
-    runs (and their summaries) stay byte-identical.
+    Attach via ``Observer(attribution=AttributionCollector())``: the
+    collector is an observer sink, and each method below named after an
+    observer hook receives that hook's events. The default observer
+    keeps ``attribution=None`` so existing observed runs (and their
+    summaries) stay byte-identical.
     """
 
     def __init__(self) -> None:
@@ -304,79 +302,63 @@ class AttributionCollector:
         #: finished attributions, in finish order
         self.finished: list[RequestAttribution] = []
 
-    # -- event intake (called by Observer hooks) ------------------------
+    # -- observer hooks (signatures declared on NullObserver) -------------
 
-    def on_arrival(self, ts: float, req: "RequestState") -> None:
+    def _timelines(self, request_ids):
+        """Live timelines of the given requests (finished ones skipped)."""
+        for rid in request_ids:
+            tl = self.live.get(rid)
+            if tl is not None:
+                yield tl
+
+    def request_arrival(self, ts, req) -> None:
         self.live[req.request_id] = RequestTimeline(
             request_id=req.request_id, arrival=ts
         )
 
-    def on_dropped(self, ts: float, req: "RequestState") -> None:
+    def request_dropped(self, ts, req) -> None:
         self.live.pop(req.request_id, None)
 
-    def on_prefill(
-        self, start: float, request_ids: tuple[int, ...], t_comm: float
+    def prefill_span(
+        self, start, dur, n_requests, tokens, t_compute, t_comm,
+        request_ids=(),
     ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_prefill(start, t_comm)
+        for tl in self._timelines(request_ids):
+            tl.on_prefill(start, t_comm)
 
-    def on_allreduce(
-        self,
-        phase: str,
-        request_ids: tuple[int, ...],
-        policy: str,
-        dur: float,
-        bottleneck_link: int | None,
-        bottleneck_kind: str,
-        bottleneck_util: float,
-        switch: int | None,
+    def allreduce_span(
+        self, phase, start, dur, decision, request_ids=()
     ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_allreduce(
-                    phase,
-                    policy,
-                    dur,
-                    bottleneck_link,
-                    bottleneck_kind,
-                    bottleneck_util,
-                    switch,
-                )
+        d = decision
+        for tl in self._timelines(request_ids):
+            tl.on_allreduce(
+                phase, d["policy"], dur, d["bottleneck_link"],
+                d["bottleneck_kind"], d["bottleneck_util"], d["switch"],
+            )
 
-    def on_kv_span(
-        self, dur: float, request_ids: tuple[int, ...]
+    def kv_transfer_span(
+        self, start, dur, n_requests, tokens, request_ids=()
     ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_kv_span(dur)
+        for tl in self._timelines(request_ids):
+            tl.on_kv_span(dur)
 
-    def on_kv_retry(self, request_ids: tuple[int, ...]) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.kv_retries += 1
+    def kv_retry(self, ts, attempt, delay, request_ids=()) -> None:
+        for tl in self._timelines(request_ids):
+            tl.kv_retries += 1
 
-    def on_decode(
-        self, request_ids: tuple[int, ...], t_comm: float
+    def decode_span(
+        self, start, dur, q, context, t_compute, t_comm, request_ids=()
     ) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_decode(t_comm)
+        for tl in self._timelines(request_ids):
+            tl.on_decode(t_comm)
 
-    def on_requeued(self, request_ids: tuple[int, ...]) -> None:
-        for rid in request_ids:
-            tl = self.live.get(rid)
-            if tl is not None:
-                tl.on_requeued()
+    def requests_requeued(self, ts, n, request_ids=()) -> None:
+        for tl in self._timelines(request_ids):
+            tl.on_requeued()
 
     # -- finalisation ----------------------------------------------------
 
-    def on_finished(self, ts: float, req: "RequestState") -> None:
+    def request_finished(self, ts, req) -> None:
         tl = self.live.pop(req.request_id, None)
         if tl is None:
             return
@@ -416,6 +398,13 @@ class AttributionCollector:
                 decode_iters=tl.decode_iters,
             )
         )
+
+    def run_finished(self, ts, sim) -> None:
+        """Fold the fleet-wide critical-path budget into the run's
+        :class:`~repro.serving.metrics.ServingMetrics` (``cp_*`` summary
+        keys). Without finished requests the summary stays unchanged."""
+        if self.finished:
+            sim.metrics.attribution_stats = self.fleet_summary()
 
     # -- fleet reductions ------------------------------------------------
 

@@ -109,7 +109,12 @@ class FlightSample:
 
 
 class FlightRecorder:
-    """Fixed-capacity sample ring fed on controller ticks."""
+    """Fixed-capacity sample ring fed on controller ticks.
+
+    As an observer sink (``Observer(recorder=...)``) it samples on every
+    ``monitor_tick`` and logs fault, failover, requeue, replan and
+    routing hooks as discrete events.
+    """
 
     def __init__(self, capacity: int = 4096, top_k_links: int = 8) -> None:
         if capacity < 1:
@@ -205,6 +210,45 @@ class FlightRecorder:
         """
         self._events.append({"time": ts, "event": event, **detail})
         self.events_total += 1
+
+    # -- observer hooks (signatures declared on NullObserver) -------------
+
+    def monitor_tick(self, ts, sim, refreshed) -> None:
+        self.sample(ts, sim)
+
+    def fault_injected(self, ts, kind, target) -> None:
+        self.log_event(ts, "fault_injected", kind=kind, target=target)
+
+    def health_transition(self, ts, kind, resource, state, detail="") -> None:
+        self.log_event(
+            ts, "health_transition", kind=kind, resource=resource,
+            state=state, detail=detail,
+        )
+
+    def failover(self, ts, group, direction) -> None:
+        group = "-".join(str(g) for g in group)
+        self.log_event(ts, "failover", group=group, direction=direction)
+
+    def requests_requeued(self, ts, n, request_ids=()) -> None:
+        self.log_event(ts, "requests_requeued", n=n)
+
+    def replan_event(self, ts, event, **detail) -> None:
+        self.log_event(ts, event, **detail)
+
+    def route_decision(
+        self, ts, request_id, replica, router, reason, affinity_hit=None,
+        kv_fetch_bytes=0.0,
+    ) -> None:
+        detail: dict = {"request_id": request_id, "replica": replica,
+                        "router": router, "reason": reason}
+        if affinity_hit is not None:
+            detail["affinity_hit"] = affinity_hit
+        if kv_fetch_bytes:
+            detail["kv_fetch_bytes"] = kv_fetch_bytes
+        self.log_event(ts, "routing_decision", **detail)
+
+    def fleet_all_degraded(self, ts, n_replicas) -> None:
+        self.log_event(ts, "fleet_all_degraded", n_replicas=n_replicas)
 
     def replan_timeline(self) -> list[dict]:
         """Online-replanning events in time order (the raw material of

@@ -80,7 +80,7 @@ def build_report_data(
         return data
 
     now = 0.0
-    recorder = getattr(observer, "recorder", None)
+    recorder = observer.recorder
     if recorder is not None:
         data["transitions"] = recorder.replan_timeline()
     if recorder is not None and len(recorder):
@@ -131,11 +131,11 @@ def build_report_data(
             "policy_flips": recorder.policy_flips(),
         }
 
-    slo = getattr(observer, "slo", None)
+    slo = observer.slo
     if slo is not None:
         data["slo"] = slo.snapshot(now)
 
-    attribution = getattr(observer, "attribution", None)
+    attribution = observer.attribution
     if attribution is not None and attribution.finished:
         data["attribution"] = {
             "n_requests": len(attribution.finished),
@@ -157,7 +157,7 @@ def build_report_data(
             ],
         }
 
-    metrics = getattr(observer, "metrics", None)
+    metrics = observer.metrics
     if metrics is not None:
         sel = metrics.get("repro_policy_selections_total")
         if sel is not None:

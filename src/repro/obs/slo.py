@@ -215,9 +215,10 @@ class _TargetState:
 class SLOMonitor:
     """Evaluates burn rates on controller ticks; emits edge alerts.
 
-    ``record_request`` is called per finished request (the observer's
-    ``request_finished`` hook); ``evaluate`` runs on the monitoring
-    cadence and returns the alerts that *changed state* this tick.
+    As an observer sink (``Observer(slo=...)``) it classifies every
+    finished request on the ``request_finished`` hook and runs
+    :meth:`evaluate` on ``monitor_tick``; ``evaluate`` returns the
+    alerts that *changed state* this tick and emits them on the sink.
     """
 
     def __init__(
@@ -244,7 +245,7 @@ class SLOMonitor:
 
     # -- recording -----------------------------------------------------------
 
-    def record_request(self, ts: float, req) -> None:
+    def request_finished(self, ts: float, req) -> None:
         """Classify one finished request against every target."""
         for st in self._states:
             latency = getattr(req, st.target.metric)
@@ -344,6 +345,9 @@ class SLOMonitor:
                 edges.append(alert)
                 self.sink.emit(alert)
         return edges
+
+    def monitor_tick(self, ts, sim, refreshed) -> None:
+        self.evaluate(ts)
 
     # -- export --------------------------------------------------------------
 

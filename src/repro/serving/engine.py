@@ -362,19 +362,7 @@ class ServingSimulator:
         for d in decisions:
             dur = d["steps"] * d["step_time"]
             self.obs.allreduce_span(
-                phase,
-                t,
-                dur,
-                d["group"],
-                d["policy"],
-                d["mode"],
-                d["steps"],
-                d["data_bytes"],
-                request_ids=request_ids,
-                bottleneck_link=d["bottleneck_link"],
-                bottleneck_kind=d["bottleneck_kind"],
-                bottleneck_util=d["bottleneck_util"],
-                switch=d["switch"],
+                phase, t, dur, d, request_ids=request_ids
             )
             t += dur
 
@@ -906,23 +894,15 @@ class ServingSimulator:
                 self.replanner.on_tick(self.queue.now)
             if self.controller is not None:
                 refreshed = self.controller.tick(self.queue.now)
-                if self.obs.enabled:
-                    self.obs.controller_tick(self.queue.now, refreshed)
-                    if refreshed:
-                        self.obs.sample_links(
-                            self.queue.now, self.ctx.linkstate
-                        )
-                        self.obs.engine_tick(self.queue.now, self)
+                if refreshed and self.obs.enabled:
+                    self.obs.monitor_tick(self.queue.now, self, refreshed)
             else:
                 # Baselines still poll link counters so EWMA views stay live.
                 self.ctx.linkstate.poll()
                 if self.obs.enabled:
                     self._poll_counter += 1
                     if self._poll_counter % _BASELINE_LINK_SAMPLE_EVERY == 0:
-                        self.obs.sample_links(
-                            self.queue.now, self.ctx.linkstate
-                        )
-                        self.obs.engine_tick(self.queue.now, self)
+                        self.obs.monitor_tick(self.queue.now, self, False)
 
     def submit(self, tr) -> RequestState:
         """Accept one routed request *now* (fleet/router entry point)."""

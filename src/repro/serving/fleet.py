@@ -338,17 +338,15 @@ class ReplicaFleet:
         self.router.on_routed(tr, decision, self)
         self.routed[idx] += 1
         fetch = self._account_session(tr, idx)
-        rd = getattr(self.observer, "route_decision", None)
-        if rd is not None:
-            rd(
-                self.queue.now,
-                tr.request_id,
-                idx,
-                self.router.name,
-                decision.reason,
-                affinity_hit=decision.affinity_hit,
-                kv_fetch_bytes=0.0 if fetch is None else fetch[2],
-            )
+        self.observer.route_decision(
+            self.queue.now,
+            tr.request_id,
+            idx,
+            self.router.name,
+            decision.reason,
+            affinity_hit=decision.affinity_hit,
+            kv_fetch_bytes=0.0 if fetch is None else fetch[2],
+        )
         if fetch is None:
             self.replicas[idx].submit(tr)
         else:

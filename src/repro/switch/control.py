@@ -87,14 +87,6 @@ class SlotAllocator:
         self._granted[switch_id] -= lease.n_slots
         self._jobs_per_switch[switch_id].discard(job_id)
 
-    def leases_of(self, job_id: int) -> list[SlotLease]:
-        """All leases currently held by a job."""
-        return [
-            lease
-            for (jid, _), lease in self._leases.items()
-            if jid == job_id
-        ]
-
 
 @dataclass
 class CounterPoller:

@@ -8,6 +8,7 @@ from repro.core import SLA_SIM_CHATBOT
 from repro.core.plan import ParallelConfig
 from repro.llm import OPT_175B, A100, CostModelBank
 from repro.network import build_xtracks_cluster
+from repro.obs import NullObserver
 from repro.serving import (
     AutoScaler,
     EngineConfig,
@@ -242,9 +243,9 @@ class TestFaultAwareRouting:
     def test_all_degraded_event_is_edge_triggered(self, built, bank):
         events = []
 
-        class _Obs:
-            def fleet_all_degraded(self, ts, n):
-                events.append((ts, n))
+        class _Obs(NullObserver):
+            def fleet_all_degraded(self, ts, n_replicas):
+                events.append((ts, n_replicas))
 
         fleet = make_fleet(built, bank, n=2)
         fleet.observer = _Obs()

@@ -1,5 +1,7 @@
 """Cost model: fitting quality, Eq. 12/13 scaling behaviour."""
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.llm import (
@@ -63,7 +65,7 @@ class TestProfiler:
 
 class TestFit:
     def test_coefficients_nonnegative(self, tiny_model):
-        assert all(c >= 0 for c in tiny_model.coeffs.as_array())
+        assert all(c >= 0 for c in astuple(tiny_model.coeffs))
 
     def test_fit_accuracy_against_executor(self, tiny_model):
         """Fitted model predicts fresh noise-free measurements within 20%."""

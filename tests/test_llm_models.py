@@ -1,6 +1,5 @@
 """Model zoo and batch descriptors (Table I quantities)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,10 +60,6 @@ class TestBatchSpec:
         b = BatchSpec.uniform(4, 128, 32)
         assert b.q == 4 and b.k_in == 512 and b.k_out == 128
         assert b.k_in2 == 4 * 128**2
-
-    def test_from_arrays(self):
-        b = BatchSpec.from_arrays(np.array([3, 4]), np.array([1, 2]))
-        assert b.input_lengths == (3, 4)
 
     def test_max_total_len(self):
         b = BatchSpec((10, 20), (5, 1))

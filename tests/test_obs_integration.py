@@ -92,16 +92,19 @@ class TestNoBehaviourChange:
             "prefill",
             0.0,
             1.0,
-            (0, 1),
-            "ring",
-            "eth",
-            2,
-            1e6,
+            {
+                "group": (0, 1),
+                "policy": "ring",
+                "mode": "eth",
+                "steps": 2,
+                "step_time": 0.5,
+                "data_bytes": 1e6,
+                "switch": 0,
+                "bottleneck_link": 3,
+                "bottleneck_kind": "ethernet",
+                "bottleneck_util": 0.5,
+            },
             request_ids=(1,),
-            bottleneck_link=3,
-            bottleneck_kind="ethernet",
-            bottleneck_util=0.5,
-            switch=0,
         )
         NULL_OBSERVER.kv_retry(0.0, 1, 0.1, request_ids=(1,))
         NULL_OBSERVER.requests_requeued(0.0, 1, request_ids=(1,))

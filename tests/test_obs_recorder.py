@@ -13,6 +13,7 @@ Covers the tentpole acceptance criteria:
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -242,6 +243,12 @@ class TestLiveSampling:
         } <= set(first)
 
 
+def _sim_over(linkstate):
+    """The slice of a simulator the trace and metrics sinks read on a
+    monitoring tick (no recorder or SLO monitor attached)."""
+    return SimpleNamespace(ctx=SimpleNamespace(linkstate=linkstate))
+
+
 class TestLinkGaugeThreshold:
     def test_quiet_links_suppressed(self, recorded_run):
         built, _, _, _ = recorded_run
@@ -252,7 +259,7 @@ class TestLinkGaugeThreshold:
         busy_id = int(np.argmax(ls.capacity))
         ls.register([busy_id], 0.5 * float(ls.capacity[busy_id]))
         obs = Observer()
-        obs.sample_links(0.0, ls)
+        obs.monitor_tick(0.0, _sim_over(ls), False)
         gauge = obs.metrics.get("repro_link_utilization")
         exported = {dict(k)["link"] for k in gauge._values}
         assert exported == {str(busy_id)}
@@ -268,7 +275,7 @@ class TestLinkGaugeThreshold:
             [lid], 0.5 * LINK_GAUGE_MIN_UTIL * float(ls.capacity[lid])
         )
         obs = Observer()
-        obs.sample_links(0.0, ls)
+        obs.monitor_tick(0.0, _sim_over(ls), False)
         assert not obs.metrics.get("repro_link_utilization")._values
 
 

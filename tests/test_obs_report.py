@@ -110,18 +110,27 @@ def synthetic_observer() -> Observer:
 
 
 def synthetic_attribution() -> AttributionCollector:
-    """Three requests fed through the collector's own event hooks."""
+    """Three requests fed through the collector's observer hooks."""
     att = AttributionCollector()
+    decision = {
+        "policy": "hybrid-ina@0",
+        "bottleneck_link": 7,
+        "bottleneck_kind": "ethernet",
+        "bottleneck_util": 0.6,
+        "switch": 0,
+    }
     for i in range(3):
         r = finished_request(i, 0.3 + 0.1 * i, 0.05)
-        att.on_arrival(r.arrival_time, r)
-        att.on_prefill(r.prefill_start, (i,), 0.05)
-        att.on_allreduce(
-            "prefill", (i,), "hybrid-ina@0", 0.05, 7, "ethernet", 0.6, 0
+        att.request_arrival(r.arrival_time, r)
+        att.prefill_span(
+            r.prefill_start, 0.1, 1, 100, 0.05, 0.05, request_ids=(i,)
         )
-        att.on_kv_span(0.0, (i,))
-        att.on_decode((i,), 0.01)
-        att.on_finished(r.finish_time, r)
+        att.allreduce_span(
+            "prefill", r.prefill_start, 0.05, decision, request_ids=(i,)
+        )
+        att.kv_transfer_span(0.0, 0.0, 1, 100, request_ids=(i,))
+        att.decode_span(0.0, 0.02, 1, 100, 0.01, 0.01, request_ids=(i,))
+        att.request_finished(r.finish_time, r)
     return att
 
 

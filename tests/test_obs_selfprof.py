@@ -194,11 +194,10 @@ class TestSnapshotReportRoundTrip:
 
 
 class TestObserverHookParity:
-    """Every hook the engine may call on a full :class:`Observer` must
-    exist on :class:`NullObserver` — a hook added to one but not the
-    other crashes unobserved runs, the worst possible failure mode for
-    an observability layer. The no-op hooks are generated from
-    :data:`OBSERVER_HOOKS`; these tests guard the generator."""
+    """Every hook is declared once, on :class:`NullObserver`, and every
+    sink method named after a hook must accept exactly that hook's
+    parameters — a drifted sink would otherwise crash on its first
+    event (or, for a rare fault hook, deep into a long run)."""
 
     @staticmethod
     def public_hooks(cls) -> set[str]:
@@ -210,6 +209,38 @@ class TestObserverHookParity:
             if not name.startswith("_")
         }
 
+    @staticmethod
+    def params(fn) -> list[tuple]:
+        return [
+            (p.name, p.kind, p.default)
+            for p in inspect.signature(fn).parameters.values()
+        ]
+
+    def test_sink_methods_bind_the_hook_signatures(self):
+        from repro.obs.attribution import AttributionCollector
+        from repro.obs.observer import _MetricsSink, _TraceSink
+        from repro.obs.recorder import FlightRecorder
+        from repro.obs.slo import SLOMonitor
+
+        sinks = (
+            _TraceSink,
+            _MetricsSink,
+            AttributionCollector,
+            FlightRecorder,
+            SLOMonitor,
+        )
+        consumed = set()
+        for sink in sinks:
+            for hook in OBSERVER_HOOKS:
+                method = getattr(sink, hook, None)
+                if method is None:
+                    continue
+                consumed.add(hook)
+                assert self.params(method) == self.params(
+                    vars(NullObserver)[hook]
+                ), f"{sink.__name__}.{hook}"
+        assert consumed == set(OBSERVER_HOOKS)  # no hook left unused
+
     def test_null_observer_covers_observer_hooks(self):
         missing = self.public_hooks(Observer) - self.public_hooks(
             NullObserver
@@ -217,13 +248,19 @@ class TestObserverHookParity:
         assert not missing, missing
 
     def test_generated_hooks_are_class_attributes(self):
-        """Hook names stay enumerable from ``vars(NullObserver)``."""
+        """Hook names stay enumerable from ``vars(NullObserver)``, and
+        each generated fan-out is a class attribute of ``Observer``
+        (perfbench wraps ``vars(Observer)[hook]``)."""
         assert set(OBSERVER_HOOKS) == self.public_hooks(Observer) - {
             "phase",
             "export",
         }
         for hook in OBSERVER_HOOKS:
             assert callable(vars(NullObserver).get(hook)), hook
+            assert callable(vars(Observer).get(hook)), hook
+            assert inspect.signature(
+                vars(Observer)[hook]
+            ) == inspect.signature(vars(NullObserver)[hook]), hook
 
     def test_profiling_null_observer_is_a_null_observer(self):
         profiler = PhaseProfiler()
@@ -240,15 +277,13 @@ class TestObserverHookParity:
         obs.request_arrival(0.0, None)
         obs.request_dropped(0.0, None)
         obs.request_finished(0.0, None)
-        obs.prefill_span()
-        obs.decode_span()
-        obs.kv_transfer_span()
-        obs.allreduce_span()
+        obs.prefill_span(0.0, 1.0, 1, 10, 0.5, 0.5)
+        obs.decode_span(0.0, 1.0, 1, 10, 0.5, 0.5)
+        obs.kv_transfer_span(0.0, 1.0, 1, 10)
+        obs.allreduce_span("prefill", 0.0, 1.0, {})
         obs.policy_selected(0, "p", "m")
-        obs.controller_tick(0.0, True)
-        obs.sample_links(0.0, None)
+        obs.monitor_tick(0.0, None, True)
         obs.kv_sample(0.0, 0, 1)
-        obs.engine_tick(0.0, None)
         obs.fault_injected(0.0, "k", 0)
         obs.health_transition(0.0, "k", 0, "s")
         obs.failover(0.0, 0, "d")

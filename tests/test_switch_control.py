@@ -51,14 +51,6 @@ class TestSlotAllocator:
         with pytest.raises(ValueError):
             a.request(1, 0, 2)
 
-    def test_leases_of(self):
-        a = SlotAllocator()
-        a.register_switch(0, 10)
-        a.register_switch(1, 10)
-        a.request(7, 0, 3)
-        a.request(7, 1, 3)
-        assert len(a.leases_of(7)) == 2
-
     def test_duplicate_switch_rejected(self):
         a = SlotAllocator()
         a.register_switch(0, 10)

@@ -69,11 +69,6 @@ class TestQueries:
         assert t.switch_ids(core=True) == []
         assert t.switch_ids(core=False) == [s]
 
-    def test_gpus_on_server(self, small_topo):
-        t, (g0, g1, g2, _) = small_topo
-        assert t.gpus_on_server(0) == [g0, g1]
-        assert t.gpus_on_server(1) == [g2]
-
     def test_servers(self, small_topo):
         t, _ = small_topo
         assert t.servers() == [0, 1]
