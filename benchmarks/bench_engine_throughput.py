@@ -10,14 +10,21 @@ steps; the run carries ``NullObserver(profiler=PhaseProfiler())``, so
 the simulated *results* stay byte-identical to an unobserved run and
 the throughput number prices the simulator, not the telemetry.
 
+Next to each run the bench times a fixed pure-Python calibration loop
+in the same process, and records throughput in host-independent units:
+``requests_per_calibration`` is requests simulated per calibration-loop
+duration, so a faster or slower host moves both sides of the ratio.
+
 Results land in ``engine_throughput.txt`` (tables) and
 ``BENCH_engine.json`` (the machine-readable perf baseline the CI
 perf-smoke job gates on: the work counters ``requests_finished`` and
 ``events_fired`` must not move, and a >25 % drop in
-requests-simulated/sec on either topology fails the build). The
+``requests_per_calibration`` on either topology fails the build). The
 ROADMAP's engine-vectorization work is measured against this file.
 """
 
+import statistics
+import time
 from dataclasses import astuple
 
 import pytest
@@ -40,6 +47,10 @@ from repro.util.tables import format_table
 #: wall-clock window is wide enough for a stable req/s reading.
 DURATION = 60.0
 
+#: Iterations and timed repeats of the calibration loop.
+CALIBRATION_ITERS = 200_000
+CALIBRATION_REPEATS = 7
+
 SETTINGS = {
     "testbed OPT-66B": dict(
         model="OPT-66B",
@@ -56,6 +67,21 @@ SETTINGS = {
         rate=1.2,
     ),
 }
+
+
+def calibration_s() -> float:
+    """Median seconds of a fixed pure-Python loop (no program code):
+    float arithmetic and dict traffic, the event loop's kind of work."""
+    times = []
+    for _ in range(CALIBRATION_REPEATS):
+        t0 = time.perf_counter()
+        table: dict[int, float] = {}
+        acc = 0.0
+        for i in range(CALIBRATION_ITERS):
+            table[i & 1023] = acc
+            acc += i * 0.5 / (1.0 + (i & 7))
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def profile_setting(label: str, setting: dict) -> dict:
@@ -82,6 +108,7 @@ def profile_setting(label: str, setting: dict) -> dict:
     )
     rt = build_runtime(spec)
     system = plan_system(rt)
+    calibration = calibration_s()
     profiler = PhaseProfiler()
     metrics = simulate(
         spec, system, rt.trace, NullObserver(profiler=profiler)
@@ -95,6 +122,8 @@ def profile_setting(label: str, setting: dict) -> dict:
         "wall_s": run.total,
         "requests_finished": finished,
         "requests_per_s": finished / run.total,
+        "calibration_s": calibration,
+        "requests_per_calibration": finished / run.total * calibration,
         "events_fired": events,
         "events_per_s": events / run.total,
         "sections": {n: s for n, s in phases.items() if "." in n},
@@ -115,13 +144,17 @@ def run_engine_profile() -> dict[str, dict]:
 def baseline_payload(snaps: dict[str, dict]) -> dict:
     """The BENCH_engine.json structure (see docs/PERFORMANCE.md).
 
-    ``requests_per_s`` and the work counters are gated; section/handler
-    tables are recorded so a regression can be attributed without
-    re-profiling.
+    ``requests_per_calibration`` and the work counters are gated;
+    section/handler tables are recorded so a regression can be
+    attributed without re-profiling.
     """
     settings = {}
     for label, snap in snaps.items():
         settings[label] = {
+            "requests_per_calibration": round(
+                snap["requests_per_calibration"], 3
+            ),
+            "calibration_s": round(snap["calibration_s"], 5),
             "requests_per_s": round(snap["requests_per_s"], 1),
             "events_per_s": round(snap["events_per_s"], 1),
             "wall_s": round(snap["wall_s"], 4),
@@ -139,6 +172,7 @@ def baseline_payload(snaps: dict[str, dict]) -> dict:
     return {
         "seed": BENCH_SEED,
         "duration_s": DURATION,
+        "calibration_iters": CALIBRATION_ITERS,
         "settings": settings,
     }
 
@@ -158,10 +192,11 @@ def test_engine_throughput(benchmark):
                 f"{snap['wall_s']:.3f}",
                 f"{snap['requests_per_s']:.0f}",
                 f"{snap['events_per_s']:.0f}",
+                f"{snap['requests_per_calibration']:.2f}",
             ]
         )
     table = format_table(
-        ["setting", "requests", "events", "wall s", "req/s", "ev/s"],
+        ["setting", "requests", "events", "wall s", "req/s", "ev/s", "req/calib"],
         rows,
         title=(
             "Engine throughput: requests simulated per host wall-clock "

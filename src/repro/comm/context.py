@@ -44,6 +44,11 @@ class CommContext:
     _direct_links: dict[tuple[int, int], int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: ``(src, dst) -> path_links`` memo; the route table and topology
+    #: are immutable, so a path never goes stale.
+    _paths: dict[tuple[int, int], list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_built(
@@ -100,8 +105,16 @@ class CommContext:
 
         Co-located GPU pairs take their direct NVLink hop in both network
         views (NCCL always does); everything else follows the view's
-        Dijkstra table.
+        Dijkstra table. Memoised per pair: the list is shared between
+        callers, who must not mutate it.
         """
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[(src, dst)] = self._walk_path(src, dst)
+        return path
+
+    def _walk_path(self, src: int, dst: int) -> list[int]:
+        """:meth:`path_links` without the memo."""
         if src == dst:
             return []
         direct = self._direct_nvlink(src, dst)
@@ -127,10 +140,6 @@ class CommContext:
             bw = link.capacity if avail is None else float(avail[lid])
             total += link.hop_latency + data_bytes / bw
         return total
-
-    def transfer_time(self, src: int, dst: int, data_bytes: float) -> float:
-        """Alias of :meth:`path_time` (KV-transfer naming in serving code)."""
-        return self.path_time(src, dst, data_bytes)
 
     def path_bottleneck(self, src: int, dst: int) -> float:
         """``min_e B(e)`` along the offline shortest path."""

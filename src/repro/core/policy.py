@@ -57,6 +57,18 @@ class Policy:
         require_positive("bottleneck_capacity", self.bottleneck_capacity)
 
 
+def _link_sum(b: list[float], links: Sequence[int]) -> float:
+    """``sum_e B(e)`` over ``links``, strictly left to right.
+
+    Eq. 18's sums keep this order so ``W`` does not move in its last
+    bits (``np.sum`` sums pairwise).
+    """
+    total = 0.0
+    for k in links:
+        total += b[k]
+    return total
+
+
 class PolicyCostTable:
     """The §III-D policy cost table for one GPU group.
 
@@ -85,6 +97,30 @@ class PolicyCostTable:
         self.window = window
         self.gamma = gamma
         n = len(policies)
+        self._caps = np.array([p.bottleneck_capacity for p in policies])
+        # Eq. 18's link structure is fixed for the table's life. A
+        # refresh reads B(e) only on the union of the policies' links;
+        # each policy's links and each pair's shared links (j's links
+        # that i also uses, in j's order) are positions into that union.
+        union = list(dict.fromkeys(e for p in policies for e in p.links))
+        pos = {e: k for k, e in enumerate(union)}
+        self._union = np.asarray(union, dtype=np.int64)
+        self._links = [tuple(pos[e] for e in p.links) for p in policies]
+        sets = [set(p.links) for p in policies]
+        self._shared = [
+            [tuple(pos[e] for e in pj.links if e in si) for pj in policies]
+            for si in sets
+        ]
+        # refresh_utilization gathers every policy's links back to back
+        # and reduces each linked policy's segment; link-less ones get 0.
+        linked = [p.links for p in policies if p.links]
+        self._linkless = np.array([not p.links for p in policies])
+        self._cat = np.asarray(
+            [e for links in linked for e in links], dtype=np.int64
+        )
+        self._starts = np.cumsum(
+            [0] + [len(links) for links in linked[:-1]], dtype=np.int64
+        )
         self.b = np.zeros(n)
         # Penalty factors start at the *static* sharing ratio so the very
         # first updates already propagate across overlapping policies.
@@ -126,27 +162,30 @@ class PolicyCostTable:
                 w[i, j] = len(sets[i] & sets[j]) / len(sets[j])
         return w
 
+    def _monitored(self, linkstate: LinkLoadTracker) -> list[float]:
+        """``B(e)`` on the union of the policies' links, as one list."""
+        return linkstate.available()[self._union].tolist()
+
+    def _w(
+        self, b: list[float], selected: int, other: int, denom: float
+    ) -> float:
+        """``W`` from monitored ``b`` and ``denom = sum_{e in c} B(e)``."""
+        if denom <= 0:  # also a link-less ``other``
+            return 0.0
+        return _link_sum(b, self._shared[selected][other]) / denom
+
     def sharing_ratio(
         self, linkstate: LinkLoadTracker, selected: int, other: int
     ) -> float:
         """Eq. 18's ``W_{(c*,c)}`` with monitored bandwidths ``B(e)``."""
-        sel = set(self.policies[selected].links)
-        oth = self.policies[other].links
-        if not oth:
-            return 0.0
-        avail = linkstate.available()
-        denom = float(sum(avail[e] for e in oth))
-        if denom <= 0:
-            return 0.0
-        shared = [e for e in oth if e in sel]
-        return float(sum(avail[e] for e in shared)) / denom
+        b = self._monitored(linkstate)
+        return self._w(b, selected, other, _link_sum(b, self._links[other]))
 
     # -- Eq. 16 selection ----------------------------------------------------
 
     def delta(self, data_bytes: float) -> np.ndarray:
         """Per-policy added utilisation of a ``data_bytes`` transfer."""
-        caps = np.array([p.bottleneck_capacity for p in self.policies])
-        return data_bytes / (self.window * caps)
+        return data_bytes / (self.window * self._caps)
 
     def costs(self, data_bytes: float) -> np.ndarray:
         """``J(c, D) = b_c + delta`` for every policy."""
@@ -179,22 +218,27 @@ class PolicyCostTable:
         within-window increments are replaced by measured ground truth, so
         ``b`` cannot drift unboundedly.
         """
-        for i, p in enumerate(self.policies):
-            self.b[i] = (
-                linkstate.path_max_utilization(list(p.links))
-                if p.links
-                else 0.0
-            )
+        if self._cat.size:
+            util = linkstate.utilization()[self._cat]
+            self.b[~self._linkless] = np.maximum.reduceat(util, self._starts)
+        self.b[self._linkless] = 0.0
 
     def refresh_penalties(self, linkstate: LinkLoadTracker) -> None:
-        """Eq. 18: EWMA-update every pairwise penalty ``f_{(c*,c)}``."""
-        n = len(self.policies)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                w = self.sharing_ratio(linkstate, i, j)
-                self.f[i, j] = (1 - self.gamma) * self.f[i, j] + self.gamma * w
+        """Eq. 18: EWMA-update every pairwise penalty ``f_{(c*,c)}``.
+
+        Runs in full on every call, even when the link state has not
+        changed: the EWMA still advances toward an unchanged ``W``.
+        """
+        b = self._monitored(linkstate)
+        denoms = [_link_sum(b, links) for links in self._links]
+        g = self.gamma
+        f = self.f.tolist()
+        for i, row in enumerate(f):
+            for j, denom in enumerate(denoms):
+                if i != j:
+                    w = self._w(b, i, j, denom)
+                    row[j] = (1 - g) * row[j] + g * w
+        self.f[:] = f
 
 
 @dataclass

@@ -54,6 +54,13 @@ class LinkLoadTracker:
     #: degradation/reset, so caches keyed on this tracker's state (the
     #: planner's estimation cache) can detect staleness in O(1).
     version: int = field(default=0, init=False)
+    #: :meth:`available` as of ``_avail_version`` (read-only array)
+    _avail: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _avail_version: int = field(
+        default=-1, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ewma_alpha <= 1.0:
@@ -216,9 +223,18 @@ class LinkLoadTracker:
         return self._load.copy()
 
     def available(self) -> np.ndarray:
-        """Remaining bandwidth ``B(e)`` per directed link (bytes/s)."""
-        floor = MIN_AVAILABLE_FRACTION * self._capacity
-        return np.maximum(self._capacity - self._load, floor)
+        """Remaining bandwidth ``B(e)`` per directed link (bytes/s).
+
+        Computed once per :attr:`version` (every mutation bumps it) and
+        shared between reads, so the array is read-only.
+        """
+        if self._avail_version != self.version:
+            floor = MIN_AVAILABLE_FRACTION * self._capacity
+            avail = np.maximum(self._capacity - self._load, floor)
+            avail.flags.writeable = False
+            self._avail = avail
+            self._avail_version = self.version
+        return self._avail
 
     def utilization(self) -> np.ndarray:
         """Instantaneous ``load / capacity`` per directed link (can be >1)."""

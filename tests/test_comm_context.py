@@ -57,11 +57,46 @@ class TestViews:
         g = tb.topology.gpu_ids()[0]
         assert het.path_time(g, g, 1e6) == 0.0
 
-    def test_transfer_time_alias(self, het, tb):
+
+class TestPathMemo:
+    @staticmethod
+    def unmemoised(ctx, src, dst):
+        """The route a fresh walk gives: the direct intra-server hop when
+        there is one, else the view's route table."""
+        if src == dst:
+            return []
+        topo = ctx.built.topology
+        a, b = topo.nodes[src], topo.nodes[dst]
+        if a.is_gpu and b.is_gpu and a.server == b.server:
+            for lid in topo.adj[src]:
+                link = topo.links[lid]
+                if link.dst == dst and link.kind in (
+                    LinkKind.NVLINK,
+                    LinkKind.PCIE,
+                ):
+                    return [lid]
+        return ctx.route_table.link_path(src, dst)
+
+    def test_every_gpu_pair_both_views(self, tb):
         g = tb.topology.gpu_ids()
-        assert het.transfer_time(g[0], g[4], 1e6) == het.path_time(
-            g[0], g[4], 1e6
-        )
+        for het_view in (True, False):
+            ctx = CommContext.from_built(tb, heterogeneous=het_view)
+            for _ in range(2):  # miss, then memo hit
+                for u in g:
+                    for v in g:
+                        assert ctx.path_links(u, v) == self.unmemoised(
+                            ctx, u, v
+                        )
+
+    def test_caller_extend_leaves_memo_intact(self, tb):
+        ctx = CommContext.from_built(tb)
+        g = tb.topology.gpu_ids()
+        expected = self.unmemoised(ctx, g[0], g[4])
+        links = [-1]
+        links.extend(ctx.path_links(g[0], g[4]))
+        links.extend(ctx.path_links(g[0], g[4]))
+        links.append(-2)
+        assert ctx.path_links(g[0], g[4]) == expected
 
 
 class TestLivePricing:

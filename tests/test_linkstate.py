@@ -186,3 +186,51 @@ class TestLinkDegradation:
     def test_bad_link_rejected(self, tracker):
         with pytest.raises(ValueError):
             tracker.set_link_factor(10**6, 0.5)
+
+
+class TestAvailableCache:
+    """``available()`` is memoised on ``version``; every mutation must
+    hand back a freshly computed ``B(e)``."""
+
+    @staticmethod
+    def expected(tracker):
+        cap = tracker.capacity
+        return np.maximum(cap - tracker.load(), MIN_AVAILABLE_FRACTION * cap)
+
+    def check_fresh(self, tracker, mutate):
+        before = tracker.available()
+        mutate()
+        after = tracker.available()
+        assert after is not before
+        assert np.array_equal(after, self.expected(tracker))
+
+    def test_unchanged_state_shares_one_array(self, tracker):
+        assert tracker.available() is tracker.available()
+
+    def test_read_only(self, tracker):
+        with pytest.raises(ValueError):
+            tracker.available()[0] = 1.0
+
+    def test_register(self, tracker):
+        self.check_fresh(tracker, lambda: tracker.register([0, 2], 3e9))
+
+    def test_release(self, tracker):
+        h = tracker.register([0, 2], 3e9)
+        self.check_fresh(tracker, lambda: tracker.release(h))
+
+    def test_set_link_factor(self, tracker):
+        tracker.register([3], 1e9)
+        self.check_fresh(tracker, lambda: tracker.set_link_factor(3, 0.3))
+        self.check_fresh(tracker, lambda: tracker.set_link_factor(3, 1.0))
+
+    def test_scale_links(self, tracker):
+        self.check_fresh(tracker, lambda: tracker.scale_links([0, 1], 2.0))
+
+    def test_scale_class(self, tracker):
+        self.check_fresh(tracker, lambda: tracker.scale_class("nvlink", 0.5))
+
+    def test_reset(self, tracker):
+        tracker.register([0], 5e9)
+        tracker.set_link_factor(2, 0.5)
+        self.check_fresh(tracker, tracker.reset)
+        assert np.array_equal(tracker.available(), tracker.base_capacity)

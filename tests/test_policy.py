@@ -124,6 +124,79 @@ class TestRefresh:
         assert sum(s.selections) == 1
 
 
+#: links the exactness tests draw from — few, so policies overlap
+POOL = 10
+
+link_sets = st.lists(
+    st.lists(st.integers(0, POOL - 1), max_size=6), min_size=1, max_size=6
+)
+#: one round of link-state change: registrations, degradations
+load_round = st.tuples(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, POOL - 1), min_size=1, max_size=4),
+            st.floats(0.0, 3e10),
+        ),
+        max_size=4,
+    ),
+    st.lists(
+        st.tuples(st.integers(0, POOL - 1), st.floats(0.01, 1.0)),
+        max_size=2,
+    ),
+)
+
+
+def per_pair_sharing_ratio(table, ls, i, j):
+    """Eq. 18's W written as the plain per-pair definition."""
+    sel = set(table.policies[i].links)
+    oth = table.policies[j].links
+    if not oth:
+        return 0.0
+    avail = ls.available()
+    denom = float(sum(avail[e] for e in oth))
+    if denom <= 0:
+        return 0.0
+    return float(sum(avail[e] for e in oth if e in sel)) / denom
+
+
+class TestRefreshExactness:
+    """The hoisted refreshes give bit-equal ``f`` and ``b`` to the
+    per-pair / per-policy reference loops."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sets=link_sets,
+        gamma=st.floats(0.01, 1.0),
+        rounds=st.lists(load_round, min_size=1, max_size=4),
+    )
+    def test_bit_equal_to_reference(self, sets, gamma, rounds):
+        ls = LinkLoadTracker(build_testbed().topology)
+        t = PolicyCostTable(mk_policies(sets), gamma=gamma)
+        n = len(sets)
+        f_ref = t.f.copy()
+        for registrations, degradations in rounds:
+            for links, rate in registrations:
+                ls.register(links, rate)
+            for lid, factor in degradations:
+                ls.set_link_factor(lid, factor)
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    w = t.sharing_ratio(ls, i, j)
+                    assert w == per_pair_sharing_ratio(t, ls, i, j)
+                    f_ref[i, j] = (1 - gamma) * f_ref[i, j] + gamma * w
+            b_ref = [
+                ls.path_max_utilization(list(p.links)) if p.links else 0.0
+                for p in t.policies
+            ]
+            t.b[:] = 7.0  # drifted virtual values
+            t.refresh_penalties(ls)
+            t.refresh_utilization(ls)
+            assert np.array_equal(t.f, f_ref)
+            assert t.b.tolist() == b_ref
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(
